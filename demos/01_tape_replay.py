@@ -2,7 +2,7 @@
 
 The tape is the workhorse of the whole library: a forward program is
 traced into a flat operation list, and the same recording serves scalar
-evaluation, wide batched evaluation, and weighted reverse sweeps.
+evaluation, replay over blocks of input rows, and weighted reverse sweeps.
 """
 
 import numpy as np
@@ -43,16 +43,18 @@ up = tape.forward([0.2 + h, 95.0], [1.5])[0]
 dn = tape.forward([0.2 - h, 95.0], [1.5])[0]
 print(f"finite-difference vega:        [{(up - dn) / (2 * h):.10f}]")
 
-# --- batched replay ----------------------------------------------------------
-# Eight independent draws go through one batched application; every lane
-# is bit-identical to the scalar replay of that row.
-wide = tape.with_batch_width(8)
+# --- block replay ------------------------------------------------------------
+# Eight independent draws, one per row, go through one replay; every lane
+# is bit-identical to the scalar replay of that row, forward and reverse.
 block = np.random.default_rng(1).standard_normal((8, 1))
-outputs = wide.forward_batch(params, block)
-scalar = np.array([wide.forward(params, row) for row in block])
-print("batch == scalar, lane by lane:", bool((outputs == scalar).all()))
+outputs, buffer = tape.replay_forward(params, block)
+scalar = np.array([tape.forward(params, row) for row in block])
+print("block == scalar, lane by lane:", bool((outputs == scalar).all()))
+adjoints = tape.replay_reverse(buffer, np.ones((8, 1)))
+scalar = np.array([tape.reverse(params, row, [1.0]) for row in block])
+print("reverse block == scalar, lane by lane:", bool((adjoints == scalar).all()))
 
 counters = tp.ReplayCounters()
-wide.forward_batch(params, block, counters=counters)
-print(f"one batched application counted as {counters.f_evals} scalar-equivalent "
+tape.replay_forward(params, block, counters=counters)
+print(f"one block replay counted as {counters.f_evals} scalar-equivalent "
       f"forwards in {counters.f_batch_calls} call")

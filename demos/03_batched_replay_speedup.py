@@ -1,7 +1,8 @@
 """Width-c batched replay: cost coefficients and chunk-lag estimators.
 
-Batched replay processes c independent input sets per application.  The
-quality of the batching is summarized by two measured coefficients:
+Batched replay processes c independent input sets (a c-row block of draws)
+per application.  The quality of the batching is summarized by two
+measured coefficients:
 
     K_F = c * (batched forward time per path) / (scalar forward time per path)
     K_R = likewise for the reverse sweep
@@ -16,11 +17,11 @@ import mcadjoint as mc
 from mcadjoint.estimators import measure_correction_coefficients
 
 spec, curve = mc.default_fixture()
+tape = mc.build_model_tape(spec, curve)
 paths = mc.generate(seed=11, n_paths=8192, n_inputs=5)
 
 for width in (1, 8, 64, 512):
-    tape = mc.build_model_tape(spec, curve, batch_width=width)
-    rep = measure_correction_coefficients(tape, curve.knot_vols, paths,
+    rep = measure_correction_coefficients(tape, curve.knot_vols, paths, width,
                                           repeats=3)
     if rep.degenerate:
         print(f"c={width:>4}: K_F = K_R = 1 by definition (degenerate width)")
@@ -29,13 +30,14 @@ for width in (1, 8, 64, 512):
           f"scalar F {rep.t_scalar_f_us:6.1f} us/path vs batched "
           f"{rep.t_batched_f_us:6.2f} us/path")
 
-# The gradient estimators run through the same interface.  For the lagged
-# algorithms the seed source moves to chunk granularity (lane l of chunk t
-# is seeded from lane l of chunk t-1), so chunk 0 is forward-only and the
-# batched estimate is a /different/ unbiased draw than the scalar one.
+# grad_est_batched runs the estimators as if c paths were evaluated at a
+# time.  For the lagged algorithms the seed source moves to chunk
+# granularity (lane l of chunk t is seeded from lane l of chunk t-1, or
+# from the mean over all earlier chunks), so chunk 0 is forward-only and
+# the batched estimate is a /different/ unbiased draw than the scalar one.
 # Algorithm 1's seeds are path-independent, so there the two coincide.
+# Either way the paths run through the same block engine.
 print("\nchunk-lag batched estimates at c=8 vs the scalar algorithms:")
-tape = mc.build_model_tape(spec, curve, batch_width=8)
 for alg, fn in [(1, mc.grad_est1), (2, mc.grad_est2), (3, mc.grad_est3)]:
     scalar = fn(tape, curve.knot_vols, paths, spec.prices)
     batched = mc.grad_est_batched(alg, tape, curve.knot_vols, paths,

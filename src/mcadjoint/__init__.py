@@ -9,7 +9,6 @@ volatility curve to European option prices.
 
 from .estimators import (
     GradientEstimate,
-    RunningMean,
     estimate_variance,
     grad_est1,
     grad_est2,
@@ -31,7 +30,7 @@ from .model import (
     vol_at,
 )
 from .optimizer import CalibrationTrace, LbfgsConfig, calibrate, lbfgs_minimize
-from .rng_paths import PathBatch, chunks, generate
+from .rng_paths import PathBatch, generate
 from .tape import AdjointSeed, ReplayCounters, Tape, record
 
 __version__ = "0.1.0"
@@ -45,13 +44,11 @@ __all__ = [
     "OptionQuote",
     "PathBatch",
     "ReplayCounters",
-    "RunningMean",
     "Tape",
     "VolCurve",
     "black_scholes_call",
     "build_model_tape",
     "calibrate",
-    "chunks",
     "default_fixture",
     "estimate_variance",
     "generate",

@@ -8,9 +8,9 @@ Subcommands::
     measure-speedup  empirical K_F / K_R of batched vs scalar replay
 
 All numeric output is CSV (plotting is left to external tools) plus a
-human-readable table on stdout.  Every run is reproducible from --seed at
-a fixed thread count and batch width.  Flag values beat config-file
-values, which beat the defaults.
+human-readable table on stdout.  Every estimate is reproducible from
+--seed, whatever the thread count.  Flag values beat config-file values,
+which beat the defaults.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def _print_table(title, header, rows):
 def cmd_variance_table(cfg: RunConfig):
     """One CSV per algorithm: rows are N_mc, columns time and Var(G_k)."""
     spec, curve = cfg.load_market()
-    tape = mdl.build_model_tape(spec, curve, batch_width=cfg.batch_width)
+    tape = mdl.build_model_tape(spec, curve)
     out = cfg.ensure_out()
     m = curve.n_knots
     header = ["n_mc", "time_us"] + [f"var_g{k + 1}" for k in range(m)]
@@ -153,7 +153,7 @@ def cmd_variance_table(cfg: RunConfig):
 def cmd_gradient(cfg: RunConfig):
     """Gradient comparison at fixed N_mc (the first --nmc value)."""
     spec, curve = cfg.load_market()
-    tape = mdl.build_model_tape(spec, curve, batch_width=cfg.batch_width)
+    tape = mdl.build_model_tape(spec, curve)
     out = cfg.ensure_out()
     n_mc = cfg.n_mc_list[0]
     paths = rng.generate(cfg.seed, n_mc, tape.n_inputs, cfg.generator_id)
@@ -205,7 +205,7 @@ def cmd_calibrate(cfg: RunConfig):
 def cmd_measure_speedup(cfg: RunConfig):
     """Wall-time comparison of scalar vs width-c batched replay."""
     spec, curve = cfg.load_market()
-    tape = mdl.build_model_tape(spec, curve, batch_width=cfg.batch_width)
+    tape = mdl.build_model_tape(spec, curve)
     out = cfg.ensure_out()
     n_mc = min(cfg.n_mc_list[0], 20_000)
     paths = rng.generate(cfg.seed, n_mc, tape.n_inputs, cfg.generator_id)
@@ -269,7 +269,7 @@ def _build_parser():
         p.add_argument("--nmc", help="comma-separated path counts, e.g. 1e5,1e6")
         p.add_argument("--seed", type=int, help="base RNG seed (64-bit)")
         p.add_argument("--batch-width", type=int, dest="batch_width",
-                       help="lane count c for batched replay")
+                       help="lane count c that measure-speedup measures")
         p.add_argument("--threads", type=int, help="estimator worker threads")
         p.add_argument("--out", help="output directory for CSV files")
         p.add_argument("--repeats", type=int, help="timing repetitions per row")

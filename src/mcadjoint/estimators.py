@@ -13,31 +13,38 @@ Three estimators, all driven by the same tape replay engine:
   replaced by the running mean S_i over all earlier paths, which removes
   most of the extra variance while keeping the single-pass cost.
 
+The lagged algorithms take a lag ``g`` (``grad_est_batched``'s width c;
+1 for ``grad_est2/3``): path j is seeded from path j - g (algorithm 2) or
+from the mean over paths [0, floor(j/g) g) (algorithm 3), so paths j < g are
+forward-only.  This is the seeding of evaluating c paths at a time, each
+seeded from the chunks before it.
+
 Every estimator materializes the per-path contribution matrix (one row
 per reversed path), takes its mean for the gradient, estimates the
 per-coordinate variance of the estimator from the same rows, and carries
 exact scalar-equivalent forward/reverse evaluation counts that are checked
 against their closed forms on every run.
 
-Paths are processed in fixed-size blocks (``BLOCK_PATHS``) with lane-wise
-vectorized replay; lane determinism of the engine makes the result
-independent of the blocking and of the worker-thread count.
+Paths are processed in blocks of about ``BLOCK_PATHS`` with lane-wise
+vectorized replay; running sums are taken in path order, so with the lane
+determinism of the engine the result is independent of the blocking and
+of the worker-thread count.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng_paths import PathBatch, chunks
+from .rng_paths import PathBatch
 from .tape import ReplayCounters, Tape
 
 __all__ = [
     "GradientEstimate",
-    "RunningMean",
     "grad_est1",
     "grad_est2",
     "grad_est3",
@@ -48,14 +55,23 @@ __all__ = [
     "BLOCK_PATHS",
 ]
 
-# internal vectorization width (paths per replay block); fixed so that
-# results are reproducible for a given seed regardless of thread count
-BLOCK_PATHS = 65536
+# internal vectorization width (paths per replay block): large enough to
+# amortize per-node dispatch, small enough to keep a block's buffers (n_nodes
+# doubles per path; 1.2 MB on the default fixture) small
+BLOCK_PATHS = 2048
 
 
 @dataclass
 class GradientEstimate:
-    """A gradient estimate with its variance and exact evaluation counts."""
+    """A gradient estimate with its variance and exact evaluation counts.
+
+    ``variance`` is the per-coordinate variance of ``grad`` with the
+    residual seeds treated as fixed.  It leaves out the noise of the seeds
+    themselves (the sample mean for algorithm 1, the running means for
+    algorithm 3), so for those algorithms it understates the standard
+    error: by up to about 3x at the default fixture's start point, and by
+    more as the residuals shrink towards the optimum.
+    """
 
     grad: np.ndarray
     variance: np.ndarray
@@ -64,36 +80,6 @@ class GradientEstimate:
     r_evals: int
     algorithm: int
     millis: float = 0.0
-    k_f: float | None = None
-    k_r: float | None = None
-
-
-class RunningMean:
-    """Exact running mean of the output vector over consumed paths.
-
-    Keeps the raw left-to-right sum, so the mean after n updates is
-    (y_1 + ... + y_n) / n in consumption order.
-    """
-
-    def __init__(self, n_outputs: int):
-        self.sums = np.zeros(n_outputs, dtype=np.float64)
-        self.count = 0
-
-    def update(self, y_row) -> None:
-        self.sums += y_row
-        self.count += 1
-
-    def update_block(self, y_block) -> None:
-        y_block = np.atleast_2d(y_block)
-        for row in y_block:
-            self.sums += row
-        self.count += len(y_block)
-
-    @property
-    def mean(self) -> np.ndarray:
-        if self.count == 0:
-            raise ValueError("running mean is empty")
-        return self.sums / self.count
 
 
 def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> np.ndarray:
@@ -146,9 +132,10 @@ def _variance_or_nan(terms, algorithm, batch_count) -> np.ndarray:
 # -- block scheduling ---------------------------------------------------------
 
 
-def _block_ranges(n_paths: int):
-    return [(lo, min(lo + BLOCK_PATHS, n_paths))
-            for lo in range(0, n_paths, BLOCK_PATHS)]
+def _block_ranges(n_paths: int, lag: int = 1):
+    """Blocks of about BLOCK_PATHS paths, each starting at a multiple of lag."""
+    size = max(lag, BLOCK_PATHS // lag * lag)
+    return [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
 def _map_blocks(fn, jobs, n_threads: int):
@@ -207,6 +194,13 @@ def grad_est1(tape: Tape, params, paths: PathBatch, targets, *,
     value buffers are kept (memory: n_nodes doubles per path) and
     f_evals = N.
     """
+    return _grad_two_pass(tape, params, paths, targets, cache_forward,
+                          batch_count, n_threads)
+
+
+def _grad_two_pass(tape: Tape, params, paths: PathBatch, targets,
+                   cache_forward: bool, batch_count: int,
+                   n_threads: int) -> GradientEstimate:
     t0 = time.perf_counter()
     params, targets = _check_inputs(tape, params, paths, targets)
     n = paths.n_paths
@@ -216,11 +210,24 @@ def grad_est1(tape: Tape, params, paths: PathBatch, targets, *,
     y = np.empty((n, tape.n_outputs), dtype=np.float64)
     counters = [ReplayCounters() for _ in ranges]
     buffers: list = [None] * len(ranges)
+    scratch = threading.local()
+
+    def forward(i):
+        lo, hi = ranges[i]
+        buf = None
+        if not cache_forward:
+            # one buffer per thread: a buffer freed after each block lets
+            # malloc return its pages, and every block faults them back in
+            # (algorithm 1 ran 2.5x slower on a 2-vCPU Xeon VM)
+            if not hasattr(scratch, "buf"):
+                scratch.buf = tape.alloc_buffer(ranges[0][1])
+            buf = scratch.buf[:, : hi - lo]
+        return tape.replay_forward(params, paths.draws[lo:hi], buffer=buf,
+                                   counters=counters[i])
 
     def fwd(i):
         lo, hi = ranges[i]
-        out, buf = tape.replay_forward(params, paths.draws[lo:hi],
-                                       counters=counters[i])
+        out, buf = forward(i)
         y[lo:hi] = out
         if cache_forward:
             buffers[i] = buf
@@ -233,15 +240,12 @@ def grad_est1(tape: Tape, params, paths: PathBatch, targets, *,
 
     def rev(i):
         lo, hi = ranges[i]
-        if cache_forward:
-            buf = buffers[i]
-        else:
-            _, buf = tape.replay_forward(params, paths.draws[lo:hi],
-                                         counters=counters[i])
+        buf = buffers[i] if cache_forward else forward(i)[1]
         seeds = np.broadcast_to(lam, (hi - lo, tape.n_outputs))
         terms[lo:hi] = tape.replay_reverse(buf, seeds, counters=counters[i])
 
     _map_blocks(rev, range(len(ranges)), n_threads)
+    scratch = None  # frees the buffer before the reductions' temporaries
 
     total = _merge_counters(counters)
     _check_counts(total, n if cache_forward else 2 * n, n)
@@ -260,22 +264,25 @@ def grad_est1(tape: Tape, params, paths: PathBatch, targets, *,
 
 
 def _grad_lagged(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
-                 batch_count: int, n_threads: int) -> GradientEstimate:
+                 batch_count: int, n_threads: int, lag: int = 1) -> GradientEstimate:
     t0 = time.perf_counter()
     params, targets = _check_inputs(tape, params, paths, targets)
     n = paths.n_paths
-    if n < 2:
+    if n <= lag:
         raise ValueError(
-            f"algorithm {algorithm} needs at least 2 paths: each reverse "
-            "sweep is seeded from an earlier path"
+            f"algorithm {algorithm} at width {lag} needs at least {lag + 1} "
+            "paths: each reverse sweep is seeded from an earlier path"
         )
-    ranges = _block_ranges(n)
+    ranges = _block_ranges(n, lag)
     counters = [ReplayCounters() for _ in ranges]
-    terms = np.empty((n - 1, tape.n_params), dtype=np.float64)
+    terms = np.empty((n - lag, tape.n_params), dtype=np.float64)
 
-    carry_y = np.empty(tape.n_outputs)      # y of the path before the block
-    carry_sum = np.zeros(tape.n_outputs)    # sum of y over paths before block
+    carry_y = np.empty((0, tape.n_outputs))  # last lag outputs before block
+    carry_sum = np.zeros(tape.n_outputs)     # sum of y over paths before block
     window = max(1, n_threads)
+    # one reused buffer per block of a window (see _grad_two_pass)
+    slots = [tape.alloc_buffer(ranges[0][1])
+             for _ in range(min(window, len(ranges)))]
 
     for w_start in range(0, len(ranges), window):
         idxs = range(w_start, min(w_start + window, len(ranges)))
@@ -283,8 +290,9 @@ def _grad_lagged(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
 
         def fwd(i):
             lo, hi = ranges[i]
-            fwd_out[i] = tape.replay_forward(params, paths.draws[lo:hi],
-                                             counters=counters[i])
+            fwd_out[i] = tape.replay_forward(
+                params, paths.draws[lo:hi],
+                buffer=slots[i - w_start][:, : hi - lo], counters=counters[i])
 
         _map_blocks(fwd, idxs, n_threads)
 
@@ -292,30 +300,22 @@ def _grad_lagged(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
         for i in idxs:
             lo, hi = ranges[i]
             y_blk, buf = fwd_out[i]
+            skip = lag if lo == 0 else 0    # paths 0..lag-1 seed nothing
             if algorithm == 2:
-                lagged = np.empty_like(y_blk)
-                lagged[1:] = y_blk[:-1]
-                if lo == 0:
-                    lagged = lagged[1:]     # path 0 has no predecessor
-                else:
-                    lagged[0] = carry_y
-                carry_y = y_blk[-1]
+                ext = np.vstack([carry_y, y_blk])
+                lagged = ext[: len(ext) - lag]
+                carry_y = ext[-lag:]
             else:
-                csum = np.cumsum(y_blk, axis=0)
-                pre = np.empty_like(y_blk)
-                pre[0] = carry_sum
-                pre[1:] = carry_sum + csum[:-1]
-                counts = np.arange(lo, hi, dtype=np.float64)[:, None]
-                if lo == 0:
-                    lagged = pre[1:] / counts[1:]
-                else:
-                    lagged = pre / counts
-                carry_sum = carry_sum + csum[-1]
+                # pre[k]: sum of y over paths [0, lo + k), summed in order;
+                # each chunk of lag paths is seeded from the mean before it
+                pre = np.cumsum(np.vstack([carry_sum, y_blk]), axis=0)
+                starts = np.arange(skip, hi - lo, lag)
+                means = pre[skip: hi - lo: lag] / (lo + starts)[:, None]
+                lagged = np.repeat(means, lag, axis=0)[: hi - lo - skip]
+                carry_sum = pre[-1]
             seeds = lagged - targets
-            # buffer lanes line up with seed rows; drop the unseeded path 0
-            sweep_buf = buf[:, 1:] if lo == 0 else buf
-            row_lo = max(lo, 1) - 1
-            jobs.append((i, sweep_buf, seeds, row_lo))
+            # buffer lanes line up with seed rows
+            jobs.append((i, buf[:, skip:], seeds, lo + skip - lag))
 
         def rev(job):
             i, sweep_buf, seeds, row_lo = job
@@ -325,7 +325,7 @@ def _grad_lagged(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
         _map_blocks(rev, jobs, n_threads)
 
     total = _merge_counters(counters)
-    _check_counts(total, n, n - 1)
+    _check_counts(total, n, n - lag)
     return GradientEstimate(
         grad=terms.mean(axis=0),
         variance=_variance_or_nan(terms, algorithm, batch_count),
@@ -349,91 +349,31 @@ def grad_est3(tape: Tape, params, paths: PathBatch, targets, *,
     return _grad_lagged(3, tape, params, paths, targets, batch_count, n_threads)
 
 
-# -- explicit width-c batched variants ----------------------------------------
+# -- width-c chunk-lag variants ----------------------------------------------
 
 
 def grad_est_batched(algorithm: int, tape: Tape, params, paths: PathBatch,
-                     targets, width: int | None = None, *,
-                     batch_count: int = 32, measure_k: bool = False) -> GradientEstimate:
-    """Run an estimator through the width-c batched replay interface.
+                     targets, width: int, *,
+                     batch_count: int = 32) -> GradientEstimate:
+    """Run an estimator as if c = ``width`` paths were evaluated at a time.
 
-    Chunks of c paths go through one batched forward (and one batched
-    reverse) application each.  For the lagged algorithms the seed source
-    is rescheduled to chunk granularity: lane l of chunk t is seeded from
-    lane l of chunk t-1 (algorithm 2) or from the running mean over all
-    chunks before t (algorithm 3); chunk 0 is forward-only, so those
-    algorithms reverse n_paths - c paths.  At width 1 every estimate is
-    bit-identical to its scalar counterpart.
+    Algorithm 1's seeds do not depend on the path order, so its estimate is
+    ``grad_est1``'s at any width.  For the lagged algorithms the seed source
+    moves to chunk granularity: lane l of chunk t is seeded from lane l of
+    chunk t-1 (algorithm 2) or from the running mean over all chunks before
+    t (algorithm 3); chunk 0 is forward-only, so those algorithms reverse
+    n_paths - c paths.  At width 1 every estimate is bit-identical to its
+    scalar counterpart.
     """
-    t0 = time.perf_counter()
-    if width is None:
-        width = tape.batch_width
-    elif width != tape.batch_width:
-        tape = tape.with_batch_width(width)
-    params, targets = _check_inputs(tape, params, paths, targets)
-    n = paths.n_paths
-    counters = ReplayCounters()
-
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     if algorithm == 1:
-        if n < 1:
-            raise ValueError("paths must be nonempty")
-        y = np.empty((n, tape.n_outputs))
-        for ch in chunks(paths, width):
-            out = tape.forward_batch(params, ch.block, n_active=ch.n_active,
-                                     counters=counters)
-            y[ch.start: ch.start + ch.n_active] = out[: ch.n_active]
-        lam = y.mean(axis=0) - targets
-        seeds = np.broadcast_to(lam, (width, tape.n_outputs))
-        terms = np.empty((n, tape.n_params))
-        for ch in chunks(paths, width):
-            adj = tape.reverse_batch(params, ch.block, seeds,
-                                     n_active=ch.n_active, counters=counters)
-            terms[ch.start: ch.start + ch.n_active] = adj[: ch.n_active]
-        _check_counts(counters, 2 * n, n)
-    elif algorithm in (2, 3):
-        if n <= width:
-            raise ValueError(
-                f"algorithm {algorithm} at width {width} needs more than "
-                f"{width} paths: chunk 0 is forward-only"
-            )
-        terms = np.empty((n - width, tape.n_params))
-        rm = RunningMean(tape.n_outputs)
-        prev_y = None
-        buf = tape.alloc_buffer(width)
-        for ch in chunks(paths, width):
-            out = tape.forward_batch(params, ch.block, buffer=buf,
-                                     n_active=ch.n_active, counters=counters)
-            if ch.start > 0:
-                if algorithm == 2:
-                    lagged = prev_y
-                else:
-                    lagged = np.broadcast_to(rm.mean, (width, tape.n_outputs))
-                adj = tape.reverse_batch(params, ch.block, lagged - targets,
-                                         buffer=buf, n_active=ch.n_active,
-                                         counters=counters)
-                terms[ch.start - width: ch.start - width + ch.n_active] = \
-                    adj[: ch.n_active]
-            if algorithm == 3:
-                rm.update_block(out[: ch.n_active])
-            prev_y = out
-        _check_counts(counters, n, n - width)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm}")
-
-    est = GradientEstimate(
-        grad=terms.mean(axis=0),
-        variance=_variance_or_nan(terms, algorithm, batch_count),
-        n_paths=n,
-        f_evals=counters.f_evals,
-        r_evals=counters.r_evals,
-        algorithm=algorithm,
-        millis=(time.perf_counter() - t0) * 1e3,
-    )
-    if measure_k:
-        report = measure_correction_coefficients(tape, params, paths, width,
-                                                 repeats=1)
-        est.k_f, est.k_r = report.k_f, report.k_r
-    return est
+        return _grad_two_pass(tape, params, paths, targets, False,
+                              batch_count, 1)
+    if algorithm in (2, 3):
+        return _grad_lagged(algorithm, tape, params, paths, targets,
+                            batch_count, 1, lag=width)
+    raise ValueError(f"unknown algorithm {algorithm}")
 
 
 @dataclass
@@ -454,19 +394,15 @@ class SpeedupReport:
 
 
 def measure_correction_coefficients(tape: Tape, params, paths: PathBatch,
-                                    width: int | None = None, *,
-                                    repeats: int = 3,
+                                    width: int, *, repeats: int = 3,
                                     scalar_sample: int = 256) -> SpeedupReport:
     """Measure K_F and K_R: width * (batched per-path time) / (scalar per-path time).
 
-    A perfectly lane-parallel replay would give 1.  Both are measured, never
-    assumed; at width 1 the coefficients are 1 by definition and no timing
-    is attempted.
+    Batched times come from ``replay_forward``/``replay_reverse`` on
+    consecutive ``width``-row slices of the draws.  A perfectly
+    lane-parallel replay would give 1.  Both are measured, never assumed; at
+    width 1 the coefficients are 1 by definition and no timing is attempted.
     """
-    if width is None:
-        width = tape.batch_width
-    elif width != tape.batch_width:
-        tape = tape.with_batch_width(width)
     params = np.asarray(params, dtype=np.float64)
     if width == 1:
         return SpeedupReport(width=1, k_f=1.0, k_r=1.0,
@@ -476,7 +412,8 @@ def measure_correction_coefficients(tape: Tape, params, paths: PathBatch,
 
     n_scalar = min(scalar_sample, paths.n_paths)
     unit_seed = np.ones(tape.n_outputs)
-    full = [ch for ch in chunks(paths, width) if ch.n_active == width]
+    full = [paths.draws[lo: lo + width]
+            for lo in range(0, paths.n_paths - width + 1, width)]
     if not full:
         raise ValueError("need at least one full-width chunk to measure")
     seeds = np.ones((width, tape.n_outputs))
@@ -496,11 +433,12 @@ def measure_correction_coefficients(tape: Tape, params, paths: PathBatch,
 
         buf = tape.alloc_buffer(width)
         t3 = time.perf_counter()
-        for ch in full:
-            tape.forward_batch(params, ch.block, buffer=buf)
+        for block in full:
+            tape.replay_forward(params, block, buffer=buf)
         t4 = time.perf_counter()
-        for ch in full:
-            tape.reverse_batch(params, ch.block, seeds, buffer=buf)
+        # the sweep's cost does not depend on which chunk filled the buffer
+        for _ in full:
+            tape.replay_reverse(buf, seeds)
         t5 = time.perf_counter()
         n_batched = len(full) * width
         tf_v = (t4 - t3) / n_batched

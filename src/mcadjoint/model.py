@@ -233,7 +233,7 @@ def bs_vega(spot: float, strike: float, sigma: float, expiry: float) -> float:
     return float(spot * math.sqrt(expiry) * math.exp(-0.5 * d1 * d1) / math.sqrt(2 * math.pi))
 
 
-def build_model_tape(spec: MarketSpec, curve: VolCurve, *, batch_width: int = 8) -> tp.Tape:
+def build_model_tape(spec: MarketSpec, curve: VolCurve) -> tp.Tape:
     """Record the payoff program: knot vols are the parameter slots.
 
     The tape has M = n_knots parameters, N = n distinct expiries random
@@ -256,8 +256,7 @@ def build_model_tape(spec: MarketSpec, curve: VolCurve, *, batch_width: int = 8)
         return [tp.max0(s_at[cols[i]] - opt.strike)
                 for i, opt in enumerate(spec.options)]
 
-    return tp.record(program, n_params=curve.n_knots, n_inputs=distinct.size,
-                     batch_width=batch_width)
+    return tp.record(program, n_params=curve.n_knots, n_inputs=distinct.size)
 
 
 # -- plain-text market configuration -----------------------------------------

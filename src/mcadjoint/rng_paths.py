@@ -15,7 +15,7 @@ import numpy as np
 from numpy.random import PCG64, Philox
 from scipy.special import ndtri
 
-__all__ = ["PathBatch", "Chunk", "generate", "chunks", "GENERATOR_IDS"]
+__all__ = ["PathBatch", "generate", "GENERATOR_IDS"]
 
 # raw 64-bit words produced per advance(1) step of each bit generator
 _GENERATORS = {
@@ -44,25 +44,6 @@ class PathBatch:
     @property
     def n_inputs(self) -> int:
         return self.draws.shape[1]
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """A width-c slice of a PathBatch, padded if the tail is ragged.
-
-    ``block`` always has the configured width; only the first ``n_active``
-    rows correspond to real paths (``active`` is the matching lane mask).
-    """
-
-    block: np.ndarray
-    n_active: int
-    start: int
-
-    @property
-    def active(self) -> np.ndarray:
-        mask = np.zeros(self.block.shape[0], dtype=bool)
-        mask[: self.n_active] = True
-        return mask
 
 
 def _raw_words(seed: int, generator_id: str, start: int, count: int) -> np.ndarray:
@@ -110,23 +91,3 @@ def generate_rows(seed: int, generator_id: str, start: int, stop: int,
     words = _raw_words(seed, generator_id, start * n_inputs, count)
     return _normals_from_words(words).reshape(stop - start, n_inputs)
 
-
-def chunks(batch: PathBatch, width: int):
-    """Split a batch into width-c blocks in path order.
-
-    The final chunk may cover fewer than ``width`` paths; its block is
-    zero-padded to full width and the padding lanes are flagged inactive,
-    so reductions over chunks still cover exactly n_paths paths.
-    """
-    if width < 1:
-        raise ValueError("chunk width must be >= 1")
-    n = batch.n_paths
-    for start in range(0, n, width):
-        stop = min(start + width, n)
-        rows = batch.draws[start:stop]
-        if stop - start < width:
-            block = np.zeros((width, batch.n_inputs), dtype=np.float64)
-            block[: stop - start] = rows
-        else:
-            block = rows
-        yield Chunk(block=block, n_active=stop - start, start=start)

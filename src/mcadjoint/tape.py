@@ -48,6 +48,8 @@ _SQRT = 10
 _POWC = 11
 _MAX0 = 12
 
+_BINARY = (_ADD, _SUB, _MUL, _DIV)
+
 _OP_NAMES = {
     _CONST: "const",
     _PARAM: "param",
@@ -224,14 +226,11 @@ class Tape:
     so concurrent replays of one tape are safe.
     """
 
-    def __init__(self, ops, param_slots, input_slots, output_slots, batch_width=8):
+    def __init__(self, ops, param_slots, input_slots, output_slots):
         self._prog = tuple(ops)
         self.param_slots = np.asarray(param_slots, dtype=np.intp)
         self.input_slots = np.asarray(input_slots, dtype=np.intp)
         self.output_slots = np.asarray(output_slots, dtype=np.intp)
-        if batch_width < 1:
-            raise ValueError("batch width must be >= 1")
-        self.batch_width = int(batch_width)
         self._validate()
 
     # -- structure ----------------------------------------------------------
@@ -255,16 +254,11 @@ class Tape:
     def op_name(self, index: int) -> str:
         return _OP_NAMES[self._prog[index][0]]
 
-    def with_batch_width(self, batch_width: int) -> "Tape":
-        """The same recorded program, configured for another batch width."""
-        return Tape(self._prog, self.param_slots, self.input_slots,
-                    self.output_slots, batch_width=batch_width)
-
     def _validate(self):
         for idx, (op, a1, a2, _) in enumerate(self._prog):
             if op not in _OP_NAMES:
                 raise UnsupportedPrimitiveError(f"unknown opcode {op}")
-            if op in (_ADD, _SUB, _MUL, _DIV):
+            if op in _BINARY:
                 args = (a1, a2)
             elif op in (_NEG, _EXP, _LOG, _SQRT, _POWC, _MAX0):
                 args = (a1,)
@@ -275,10 +269,9 @@ class Tape:
                     raise TapeError(
                         f"node {idx} reads node {a}: tape is not topological"
                     )
-        slot_sets = [set(self.param_slots), set(self.input_slots), set(self.output_slots)]
-        total = sum(len(s) for s in slot_sets)
-        if len(set().union(*slot_sets)) != total:
-            raise TapeError("param/input/output slots must be disjoint")
+        slots = [*self.param_slots, *self.input_slots, *self.output_slots]
+        if len(set(slots)) != len(slots):
+            raise TapeError("param/input/output slots must be distinct")
 
     # -- replay engine ------------------------------------------------------
 
@@ -363,13 +356,15 @@ class Tape:
         node = int(np.argmax(bad))
         raise NonFiniteError(node, _OP_NAMES[self._prog[node][0]])
 
-    def replay_reverse(self, buffer, seeds, *, counters=None,
-                       active_lanes=None) -> np.ndarray:
+    def replay_reverse(self, buffer, seeds, *, counters=None) -> np.ndarray:
         """Reverse sweep from a filled forward buffer.
 
         ``seeds`` has shape (n_lanes, n_outputs): one output-weight vector
         per lane.  Returns per-lane parameter adjoints of shape
         (n_lanes, n_params): row j holds sum_i seeds[j, i] * dy_i/dparam.
+        A non-finite parameter adjoint raises :class:`NonFiniteError` naming
+        the first node, in sweep order, whose step wrote a non-finite
+        adjoint.
         """
         n_lanes = buffer.shape[1]
         seeds = np.asarray(seeds, dtype=np.float64)
@@ -378,51 +373,59 @@ class Tape:
                 f"expected seeds of shape ({n_lanes}, {self.n_outputs}), "
                 f"got {seeds.shape}"
             )
-        adj = np.zeros((self.n_nodes, n_lanes), dtype=np.float64)
-        # += scatter: tolerates a repeated output slot
-        np.add.at(adj, self.output_slots, seeds.T)
-        with np.errstate(all="ignore"):
-            self._reverse_sweep(buffer, adj)
+        adj = self._reverse_sweep(buffer, seeds)
+        grads = adj[self.param_slots].T.copy()
+        if not np.all(np.isfinite(grads)):
+            self._reverse_sweep(buffer, seeds, locate=True)
         if counters is not None:
-            n_active = n_lanes if active_lanes is None else int(active_lanes)
-            counters.r_evals += n_active
+            counters.r_evals += n_lanes
             counters.r_batch_calls += 1
-        return adj[self.param_slots].T.copy()
+        return grads
 
-    def _reverse_sweep(self, buffer, adj):
+    def _reverse_sweep(self, buffer, seeds, locate=False) -> np.ndarray:
+        """Node adjoints of shape (n_nodes, n_lanes); with ``locate``, raise
+        at the first node whose step writes a non-finite adjoint."""
+        adj = np.zeros((self.n_nodes, buffer.shape[1]), dtype=np.float64)
+        adj[self.output_slots] = seeds.T  # output slots are distinct
         prog = self._prog
-        for idx in range(self.n_nodes - 1, -1, -1):
-            op, a1, a2, cv = prog[idx]
-            if op <= _INPUT:  # leaves
-                continue
-            g = adj[idx]
-            if op == _MUL:
-                adj[a1] += g * buffer[a2]
-                adj[a2] += g * buffer[a1]
-            elif op == _ADD:
-                adj[a1] += g
-                adj[a2] += g
-            elif op == _SUB:
-                adj[a1] += g
-                adj[a2] -= g
-            elif op == _EXP:
-                adj[a1] += g * buffer[idx]
-            elif op == _MAX0:
-                adj[a1] += g * (buffer[a1] > 0.0)
-            elif op == _DIV:
-                gb = g / buffer[a2]
-                adj[a1] += gb
-                adj[a2] -= gb * buffer[idx]
-            elif op == _NEG:
-                adj[a1] -= g
-            elif op == _LOG:
-                adj[a1] += g / buffer[a1]
-            elif op == _SQRT:
-                adj[a1] += 0.5 * g / buffer[idx]
-            elif op == _POWC:
-                adj[a1] += g * cv * buffer[a1] ** (cv - 1.0)
+        # non-finite parameter adjoints are detected by the caller
+        with np.errstate(all="ignore"):
+            for idx in range(self.n_nodes - 1, -1, -1):
+                op, a1, a2, cv = prog[idx]
+                if op <= _INPUT:  # leaves
+                    continue
+                g = adj[idx]
+                if op == _MUL:
+                    adj[a1] += g * buffer[a2]
+                    adj[a2] += g * buffer[a1]
+                elif op == _ADD:
+                    adj[a1] += g
+                    adj[a2] += g
+                elif op == _SUB:
+                    adj[a1] += g
+                    adj[a2] -= g
+                elif op == _EXP:
+                    adj[a1] += g * buffer[idx]
+                elif op == _MAX0:
+                    adj[a1] += g * (buffer[a1] > 0.0)
+                elif op == _DIV:
+                    gb = g / buffer[a2]
+                    adj[a1] += gb
+                    adj[a2] -= gb * buffer[idx]
+                elif op == _NEG:
+                    adj[a1] -= g
+                elif op == _LOG:
+                    adj[a1] += g / buffer[a1]
+                elif op == _SQRT:
+                    adj[a1] += 0.5 * g / buffer[idx]
+                elif op == _POWC:
+                    adj[a1] += g * cv * buffer[a1] ** (cv - 1.0)
+                if locate and not (np.isfinite(adj[a1]).all() and (
+                        op not in _BINARY or np.isfinite(adj[a2]).all())):
+                    raise NonFiniteError(idx, _OP_NAMES[op])
+        return adj
 
-    # -- public single-set and width-checked batch API ----------------------
+    # -- public single-set API ----------------------------------------------
 
     def forward(self, params, inputs, *, counters=None) -> np.ndarray:
         """Evaluate the recorded program on one input set. Pure."""
@@ -464,54 +467,7 @@ class Tape:
             )
         return self.replay_reverse(forward_buffer, lam[None, :], counters=counters)[0]
 
-    def _check_width(self, block) -> np.ndarray:
-        block = np.asarray(block, dtype=np.float64)
-        if block.ndim != 2 or block.shape[0] != self.batch_width:
-            raise ValueError(
-                f"batch-width mismatch: tape is configured for width "
-                f"{self.batch_width}, got block of shape {block.shape}"
-            )
-        return block
-
-    def forward_batch(self, params, input_block, *, buffer=None,
-                      n_active=None, counters=None) -> np.ndarray:
-        """Width-checked batched forward: lane j equals forward(row j) exactly."""
-        block = self._check_width(input_block)
-        n_active = self.batch_width if n_active is None else int(n_active)
-        outputs, buf = self.replay_forward(params, block, buffer=buffer,
-                                           check_finite=False)
-        if counters is not None:
-            counters.f_evals += n_active
-            counters.f_batch_calls += 1
-        if not np.all(np.isfinite(outputs[:n_active])):
-            self._raise_non_finite(buf)
-        return outputs
-
-    def reverse_batch(self, params, input_block, seeds, *, buffer=None,
-                      n_active=None, counters=None) -> np.ndarray:
-        """Width-checked batched reverse: lane j equals reverse(row j) exactly.
-
-        If ``buffer`` holds a forward replay of ``input_block`` it is
-        reused; otherwise the forward pass is recomputed here (and counted).
-        """
-        block = self._check_width(input_block)
-        seeds = np.asarray(seeds, dtype=np.float64)
-        if seeds.shape != (self.batch_width, self.n_outputs):
-            raise ValueError(
-                f"batch-width mismatch: expected seeds of shape "
-                f"({self.batch_width}, {self.n_outputs}), got {seeds.shape}"
-            )
-        n_active = self.batch_width if n_active is None else int(n_active)
-        if buffer is None:
-            _, buffer = self.replay_forward(params, block, counters=None)
-            if counters is not None:
-                counters.f_evals += n_active
-                counters.f_batch_calls += 1
-        return self.replay_reverse(buffer, seeds, counters=counters,
-                                   active_lanes=n_active)
-
-
-def record(program, n_params: int, n_inputs: int, *, batch_width: int = 8) -> Tape:
+def record(program, n_params: int, n_inputs: int) -> Tape:
     """Trace ``program`` once and return the recorded tape.
 
     ``program(params, inputs)`` receives lists of trace variables and must
@@ -537,11 +493,11 @@ def record(program, n_params: int, n_inputs: int, *, batch_width: int = 8) -> Ta
         if not isinstance(var, TraceVar) or var.builder is not builder:
             raise TapeError("program outputs must be trace variables of this recording")
         idx = var.index
-        if idx < n_leaves or builder.ops[idx][0] == _CONST:
-            # keep slot sets disjoint: pass leaves through an exact identity
+        if idx < n_leaves or builder.ops[idx][0] == _CONST or idx in out_slots:
+            # keep every slot distinct: pass leaves, constants and repeated
+            # outputs through an exact identity
             one = builder.const(1.0)
             idx = builder.emit(_MUL, idx, one.index).index
         out_slots.append(idx)
     return Tape(builder.ops, list(range(n_params)),
-                list(range(n_params, n_leaves)), out_slots,
-                batch_width=batch_width)
+                list(range(n_params, n_leaves)), out_slots)

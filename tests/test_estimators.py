@@ -53,6 +53,21 @@ def slow_est3(tape, params, paths, targets):
     return np.mean(terms, axis=0)
 
 
+def slow_chunk_lag(algorithm, tape, params, paths, targets, width):
+    """Path j seeded from path j - c (alg 2) or the mean of paths
+    [0, floor(j/c) c) (alg 3), for j >= c."""
+    y = np.array([tape.forward(params, w) for w in paths.draws])
+    terms = []
+    for j in range(width, paths.n_paths):
+        if algorithm == 2:
+            s = y[j - width]
+        else:
+            m = j // width * width
+            s = y[:m].sum(axis=0) / m
+        terms.append(tape.reverse(params, paths.draws[j], s - targets))
+    return np.mean(terms, axis=0)
+
+
 class TestAlgorithm1:
     def test_constant_payoff_zero_gradient(self):
         tape = constant_tape()
@@ -113,6 +128,15 @@ class TestAlgorithm1:
         with pytest.raises(ValueError):
             est.grad_est1(tape, [1.0, 1.0], empty, [0.0])
 
+    def test_non_finite_adjoint_raises(self):
+        # max0(p * log(w)) at w = 0 has the finite output 0 and a NaN adjoint
+        tape = tp.record(lambda p, w: [tp.max0(p[0] * tp.log(w[0]))],
+                         n_params=1, n_inputs=1)
+        zeros = PathBatch(draws=np.zeros((4, 1)), seed=0, generator_id="philox")
+        with pytest.raises(tp.NonFiniteError) as exc:
+            est.grad_est1(tape, [1.0], zeros, [0.0])
+        assert exc.value.node_index == 3
+
 
 class TestAlgorithm2:
     def test_matched_constant_zero(self):
@@ -169,31 +193,6 @@ class TestCrossAgreement:
             e = fn(tape, curve.knot_vols, paths, spec.prices)
             combined = np.sqrt(e1.variance + e.variance)
             assert (np.abs(e.grad - e1.grad) < 3 * combined).all()
-
-
-class TestRunningMean:
-    def test_prefix_means_in_order(self):
-        rm = est.RunningMean(2)
-        rows = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 9.0]])
-        seen = []
-        for row in rows:
-            rm.update(row)
-            seen.append(rm.mean.copy())
-        np.testing.assert_array_equal(seen[0], [1.0, 2.0])
-        np.testing.assert_array_equal(seen[1], [2.0, 3.0])
-        np.testing.assert_array_equal(seen[2], [3.0, 5.0])
-
-    def test_matches_cumulative_sums(self):
-        rng = np.random.default_rng(0)
-        rows = rng.standard_normal((500, 3))
-        rm = est.RunningMean(3)
-        rm.update_block(rows)
-        expected = np.cumsum(rows, axis=0)[-1] / 500
-        np.testing.assert_array_equal(rm.mean, expected)
-
-    def test_empty_mean_rejected(self):
-        with pytest.raises(ValueError):
-            est.RunningMean(1).mean
 
 
 class TestVarianceEstimate:
@@ -259,7 +258,7 @@ class TestBatched:
                                      spec.prices, width=width)
             np.testing.assert_allclose(b.grad, a.grad, rtol=1e-12)
 
-    def test_chunk_lag_pairing_small_case(self):
+    def test_chunk_lag_pairing_small_case(self, monkeypatch):
         # width 2, five paths: reverses paths 2..4, lane-aligned seeds from
         # the previous chunk (algorithm 2) or the running mean over all
         # earlier chunks (algorithm 3)
@@ -283,6 +282,17 @@ class TestBatched:
         ], axis=0)
         got3 = est.grad_est_batched(3, tape, vols, paths, targets, width=2)
         np.testing.assert_allclose(got3.grad, expect3, rtol=1e-12)
+
+        # lagged rows and prefix sums carried across block edges
+        monkeypatch.setattr(est, "BLOCK_PATHS", 16)
+        paths = generate(12, 100, 5)
+        for width in (1, 3, 8):
+            for alg in (2, 3):
+                got = est.grad_est_batched(alg, tape, vols, paths, targets,
+                                           width=width)
+                expect = slow_chunk_lag(alg, tape, vols, paths, targets, width)
+                np.testing.assert_allclose(got.grad, expect, rtol=1e-12,
+                                           err_msg=f"alg {alg} width {width}")
 
     def test_batched_costs(self):
         spec, curve, tape = fixture_tape()
@@ -311,13 +321,21 @@ class TestBatched:
             est.grad_est_batched(2, tape, curve.knot_vols, paths, spec.prices,
                                  width=8)
 
-    def test_measure_k_attaches_coefficients(self):
+
+class TestBlocking:
+    def test_block_size_does_not_change_results(self, monkeypatch):
         spec, curve, tape = fixture_tape()
-        paths = generate(16, 256, 5)
-        e = est.grad_est_batched(1, tape, curve.knot_vols, paths, spec.prices,
-                                 width=8, measure_k=True)
-        assert e.k_f is not None and np.isfinite(e.k_f) and e.k_f > 0
-        assert e.k_r is not None and np.isfinite(e.k_r) and e.k_r > 0
+        paths = generate(20, 5000, 5)
+        runs = []
+        for block in (2048, 96):
+            monkeypatch.setattr(est, "BLOCK_PATHS", block)
+            runs.append([fn(tape, curve.knot_vols, paths, spec.prices)
+                         for fn in (est.grad_est1, est.grad_est2, est.grad_est3)]
+                        + [est.grad_est_batched(alg, tape, curve.knot_vols,
+                                                paths, spec.prices, width=8)
+                           for alg in (1, 2, 3)])
+        for a, b in zip(*runs):
+            assert (a.grad == b.grad).all() and (a.variance == b.variance).all()
 
 
 class TestThreading:

@@ -55,31 +55,3 @@ class TestGenerate:
         part = rng.generate_rows(3, gen_id, 37, 61, 3)
         assert (part == full.draws[37:61]).all()
 
-
-class TestChunks:
-    def test_ragged_tail_sizes(self):
-        batch = rng.generate(1, 10, 2)
-        sizes = [c.n_active for c in rng.chunks(batch, 4)]
-        assert sizes == [4, 4, 2]
-
-    def test_exact_fit(self):
-        batch = rng.generate(1, 8, 1)
-        out = list(rng.chunks(batch, 8))
-        assert len(out) == 1 and out[0].n_active == 8
-
-    def test_concatenation_roundtrip(self):
-        batch = rng.generate(5, 23, 4)
-        parts = [c.block[: c.n_active] for c in rng.chunks(batch, 5)]
-        assert (np.vstack(parts) == batch.draws).all()
-
-    def test_padded_lanes_flagged_inactive(self):
-        batch = rng.generate(1, 6, 2)
-        last = list(rng.chunks(batch, 4))[-1]
-        assert last.n_active == 2
-        assert last.active.tolist() == [True, True, False, False]
-        assert (last.block[2:] == 0.0).all()
-
-    def test_blocks_are_full_width(self):
-        batch = rng.generate(1, 6, 2)
-        for c in rng.chunks(batch, 4):
-            assert c.block.shape == (4, 2)

@@ -130,6 +130,23 @@ class TestReverse:
         grad = tape.reverse([2.0, 3.0], [], [1.0])
         assert grad == pytest.approx([3.0, 2.0])
 
+    def test_non_finite_adjoint_reports_node_index(self):
+        # max0(p * log(w)) at w = 0: the output max0(-inf) = 0 is finite,
+        # but the product's step computes the adjoint 0 * -inf
+        tape = tp.record(lambda p, w: [tp.max0(p[0] * tp.log(w[0]))],
+                         n_params=1, n_inputs=1)
+        out, buf = tape.replay_forward([1.0], np.zeros((2, 1)))
+        assert (out == 0.0).all()
+        with pytest.raises(tp.NonFiniteError, match="mul") as exc:
+            tape.replay_reverse(buf, np.ones((2, 1)))
+        assert exc.value.node_index == 3
+
+    def test_repeated_output_gets_its_own_slot(self):
+        tape = tp.record(lambda p, w: (lambda z: [z, z])(p[0] * w[0]),
+                         n_params=1, n_inputs=1)
+        assert len(set(tape.output_slots)) == 2
+        assert tape.reverse([2.0], [3.0], [1.0, 0.5]) == pytest.approx([4.5])
+
     def test_call_vega_matches_finite_difference(self):
         tape = call_payoff_tape()
         params = np.array([0.2, 90.0])
@@ -203,67 +220,73 @@ class TestReverse:
 
 class TestBatch:
     def test_identical_rows_give_identical_outputs(self):
-        tape = call_payoff_tape().with_batch_width(4)
+        tape = call_payoff_tape()
         block = np.full((4, 1), 0.3)
-        out = tape.forward_batch([0.2, 95.0], block)
+        out, _ = tape.replay_forward([0.2, 95.0], block)
         assert (out == out[0]).all()
 
     def test_lanewise_equality_with_scalar_forward(self):
-        tape = call_payoff_tape().with_batch_width(8)
+        tape = call_payoff_tape()
         rng = np.random.default_rng(5)
         block = rng.standard_normal((8, 1))
-        out = tape.forward_batch([0.2, 95.0], block)
+        out, _ = tape.replay_forward([0.2, 95.0], block)
         for j in range(8):
             scalar = tape.forward([0.2, 95.0], block[j])
             assert (out[j] == scalar).all()
 
     def test_lanewise_equality_with_scalar_reverse(self):
-        tape = call_payoff_tape().with_batch_width(8)
+        tape = call_payoff_tape()
         rng = np.random.default_rng(6)
         block = rng.standard_normal((8, 1))
         seeds = rng.standard_normal((8, 1))
-        adj = tape.reverse_batch([0.2, 95.0], block, seeds)
+        _, buf = tape.replay_forward([0.2, 95.0], block)
+        adj = tape.replay_reverse(buf, seeds)
         for j in range(8):
             scalar = tape.reverse([0.2, 95.0], block[j], seeds[j])
             assert (adj[j] == scalar).all()
 
     def test_identical_lanes_and_seeds(self):
-        tape = call_payoff_tape().with_batch_width(2)
+        tape = call_payoff_tape()
         block = np.full((2, 1), 0.4)
         seeds = np.ones((2, 1))
-        adj = tape.reverse_batch([0.2, 95.0], block, seeds)
+        _, buf = tape.replay_forward([0.2, 95.0], block)
+        adj = tape.replay_reverse(buf, seeds)
         assert (adj[0] == adj[1]).all()
 
     def test_zero_seed_zero_adjoint(self):
-        tape = call_payoff_tape().with_batch_width(2)
+        tape = call_payoff_tape()
         block = np.array([[0.4], [1.2]])
-        adj = tape.reverse_batch([0.2, 95.0], block, np.zeros((2, 1)))
+        _, buf = tape.replay_forward([0.2, 95.0], block)
+        adj = tape.replay_reverse(buf, np.zeros((2, 1)))
         assert (adj == 0.0).all()
 
     def test_width_mismatch_rejected(self):
-        tape = call_payoff_tape().with_batch_width(4)
-        with pytest.raises(ValueError, match="width"):
-            tape.forward_batch([0.2, 95.0], np.zeros((3, 1)))
-        with pytest.raises(ValueError, match="width"):
-            tape.reverse_batch([0.2, 95.0], np.zeros((4, 1)), np.zeros((3, 1)))
+        tape = call_payoff_tape()
+        _, buf = tape.replay_forward([0.2, 95.0], np.zeros((4, 1)))
+        with pytest.raises(ValueError, match="shape"):
+            tape.replay_forward([0.2, 95.0], np.zeros((3, 1)), buffer=buf)
+        with pytest.raises(ValueError, match="shape"):
+            tape.replay_reverse(buf, np.zeros((3, 1)))
 
     def test_counters_track_scalar_equivalents(self):
-        tape = call_payoff_tape().with_batch_width(4)
+        tape = call_payoff_tape()
         counters = tp.ReplayCounters()
         block = np.zeros((4, 1))
-        tape.forward_batch([0.2, 95.0], block, counters=counters)
-        tape.reverse_batch([0.2, 95.0], block, np.ones((4, 1)), counters=counters)
-        assert counters.f_evals == 8  # reverse replays the forward internally
+        tape.replay_forward([0.2, 95.0], block, counters=counters)
+        _, buf = tape.replay_forward([0.2, 95.0], block, counters=counters)
+        tape.replay_reverse(buf, np.ones((4, 1)), counters=counters)
+        assert counters.f_evals == 8
         assert counters.r_evals == 4
         assert counters.f_batch_calls == 2 and counters.r_batch_calls == 1
 
     def test_buffer_reuse_skips_forward(self):
-        tape = call_payoff_tape().with_batch_width(4)
+        tape = call_payoff_tape()
         counters = tp.ReplayCounters()
         block = np.ones((4, 1))
         buf = tape.alloc_buffer(4)
-        tape.forward_batch([0.2, 95.0], block, buffer=buf, counters=counters)
-        tape.reverse_batch([0.2, 95.0], block, np.ones((4, 1)), buffer=buf,
-                           counters=counters)
+        _, filled = tape.replay_forward([0.2, 95.0], block, buffer=buf,
+                                        counters=counters)
+        assert filled is buf
+        tape.replay_reverse(buf, np.ones((4, 1)), counters=counters)
         assert counters.f_evals == 4
         assert counters.r_evals == 4
