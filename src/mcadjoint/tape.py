@@ -7,10 +7,24 @@ independent input sets ("lanes"), and swept backwards with an arbitrary
 output-weight vector to obtain weighted adjoints with respect to the
 parameter slots.
 
+Each tape is compiled once, when it is built, into static schedules
+(activity analysis):
+
+* nodes that do not depend on an input (lane-invariant) are evaluated once
+  per distinct parameter vector as a one-lane replay and cached; the
+  forward schedule sweeps only the lane-dependent nodes and reads
+  invariant operands as scalars;
+* nodes that reach no output are dropped;
+* the reverse schedule forms adjoints only for active nodes (those that
+  depend on a parameter and reach an output), writes each adjoint's first
+  contribution by assignment instead of accumulating onto zeros, and reuses
+  an adjoint's storage once its node has been swept.
+
 The replay engine operates on numpy arrays of shape ``(n_lanes,)`` per tape
 node, so a "scalar" replay is simply a one-lane batch.  Elementwise ufuncs
 in numpy are lane-deterministic, which is what makes batch and scalar
-replay bit-identical lane by lane.
+replay, and a scalar read of a hoisted invariant, bit-identical lane by
+lane.
 """
 
 from __future__ import annotations
@@ -49,6 +63,20 @@ _POWC = 11
 _MAX0 = 12
 
 _BINARY = (_ADD, _SUB, _MUL, _DIV)
+_UNARY = (_NEG, _EXP, _LOG, _SQRT, _POWC, _MAX0)
+
+_UFUNCS = {
+    _ADD: np.add,
+    _SUB: np.subtract,
+    _MUL: np.multiply,
+    _DIV: np.divide,
+    _NEG: np.negative,
+    _EXP: np.exp,
+    _LOG: np.log,
+    _SQRT: np.sqrt,
+    _POWC: np.power,
+    _MAX0: np.maximum,
+}
 
 _OP_NAMES = {
     _CONST: "const",
@@ -218,12 +246,49 @@ class _Builder:
         return v
 
 
+def _operands(op: int, a1: int, a2: int) -> tuple:
+    if op in _BINARY:
+        return (a1, a2)
+    if op in _UNARY:
+        return (a1,)
+    return ()
+
+
+def _power(x, e, out):
+    """``x ** e`` through the ndarray operator, as the reverse step reads it."""
+    np.copyto(out, x ** float(e))
+
+
+def _run(steps, rows) -> None:
+    """Execute a compiled schedule: each step is ``f(rows[x], rows[y],
+    out=rows[z])`` (``y`` is None for a unary step).  ``rows`` holds lane
+    rows from the front and scalars from the back (negative indices)."""
+    for f, x, y, z in steps:
+        if y is None:
+            f(rows[x], out=rows[z])
+        else:
+            f(rows[x], rows[y], out=rows[z])
+
+
+def _index(seq):
+    """A slice when ``seq`` is a consecutive ascending run, else an array."""
+    seq = list(seq)
+    start = seq[0] if seq else 0
+    if seq == list(range(start, start + len(seq))):
+        return slice(start, start + len(seq))
+    return np.asarray(seq, dtype=np.intp)
+
+
 class Tape:
     """Immutable recorded program with parameter, input and output slots.
 
-    Replays never mutate the tape; every replay writes into a caller-owned
-    (or freshly allocated) value buffer of shape ``(n_nodes, n_lanes)``,
-    so concurrent replays of one tape are safe.
+    Construction compiles the program (see the module docstring).  Replays
+    write into a caller-owned (or freshly allocated) value buffer with one
+    row per parameter and one per lane-dependent node that reaches an
+    output (:meth:`alloc_buffer`), lanes on axis 1.  The only state a
+    replay touches is a one-entry cache of the lane-invariant values, keyed
+    by the parameter bytes and checked on every use, so concurrent replays
+    of one tape are safe with the same or with different parameters.
     """
 
     def __init__(self, ops, param_slots, input_slots, output_slots):
@@ -232,6 +297,8 @@ class Tape:
         self.input_slots = np.asarray(input_slots, dtype=np.intp)
         self.output_slots = np.asarray(output_slots, dtype=np.intp)
         self._validate()
+        self._compile()
+        self._cache = (None, None, None)
 
     # -- structure ----------------------------------------------------------
 
@@ -258,13 +325,7 @@ class Tape:
         for idx, (op, a1, a2, _) in enumerate(self._prog):
             if op not in _OP_NAMES:
                 raise UnsupportedPrimitiveError(f"unknown opcode {op}")
-            if op in _BINARY:
-                args = (a1, a2)
-            elif op in (_NEG, _EXP, _LOG, _SQRT, _POWC, _MAX0):
-                args = (a1,)
-            else:
-                args = ()
-            for a in args:
+            for a in _operands(op, a1, a2):
                 if not 0 <= a < idx:
                     raise TapeError(
                         f"node {idx} reads node {a}: tape is not topological"
@@ -272,12 +333,258 @@ class Tape:
         slots = [*self.param_slots, *self.input_slots, *self.output_slots]
         if len(set(slots)) != len(slots):
             raise TapeError("param/input/output slots must be distinct")
+        if not all(0 <= s < self.n_nodes for s in slots):
+            raise TapeError("param/input/output slots must be tape nodes")
+        for kind, leaf, leaf_slots in (("param", _PARAM, self.param_slots),
+                                       ("input", _INPUT, self.input_slots)):
+            for k, s in enumerate(leaf_slots):
+                if self._prog[s][:2] != (leaf, k):
+                    raise TapeError(f"{kind} slot {k} must be a {kind} node "
+                                    f"reading {kind} {k}")
+
+    # -- compilation ----------------------------------------------------------
+
+    def _compile(self):
+        """Build the static forward and reverse schedules.
+
+        A node is lane-dependent when it reads an input, live when it
+        reaches an output, and active when it is live and depends on a
+        parameter.  Live invariant nodes are evaluated per parameter vector
+        by the one-lane schedule ``_inv_steps``; live lane-dependent nodes
+        get buffer rows and forward steps; active nodes get adjoints in the
+        reverse schedule.
+        """
+        prog = self._prog
+        n = len(prog)
+        args = [_operands(op, a1, a2) for op, a1, a2, _ in prog]
+        lane = [op == _INPUT for op, *_ in prog]
+        pdep = [op == _PARAM for op, *_ in prog]
+        for idx, operands in enumerate(args):
+            if operands:
+                lane[idx] = any(lane[a] for a in operands)
+                pdep[idx] = any(pdep[a] for a in operands)
+        live = [False] * n
+        for s in self.output_slots:
+            live[s] = True
+        for idx in range(n - 1, -1, -1):
+            if live[idx]:
+                for a in args[idx]:
+                    live[a] = True
+        active = [lv and pd for lv, pd in zip(live, pdep)]
+
+        # scalars, read from the back of a replay's row list: the invariant
+        # values, then the constants the steps use
+        consts, const_at = [], {}
+        for v in (0.0, 0.5, *(c for op, _, _, cv in prog if op == _POWC
+                              for c in (cv, cv - 1.0))):
+            if np.float64(v).tobytes() not in const_at:
+                const_at[np.float64(v).tobytes()] = len(consts)
+                consts.append(np.array(v, dtype=np.float64))
+        inv_nodes = [i for i in range(n) if live[i] and not lane[i]]
+        inv_at = {node: i for i, node in enumerate(inv_nodes)}
+        n_scalars = len(inv_nodes) + len(consts)
+
+        def const(v):
+            return const_at[np.float64(v).tobytes()] - len(consts)
+
+        def val(node):
+            return row[node] if lane[node] else inv_at[node] - n_scalars
+
+        def forward_step(idx, ref, out):
+            op, a1, a2, cv = prog[idx]
+            if op in _BINARY:
+                y = ref(a2)
+            elif op == _POWC:
+                y = const(cv)
+            elif op == _MAX0:
+                y = const(0.0)
+            else:
+                y = None
+            return (_UFUNCS[op], ref(a1), y, out)
+
+        inv_init = np.full(len(inv_nodes), np.nan)
+        inv_params, inv_steps = [], []
+        for i, node in enumerate(inv_nodes):
+            op, a1, _, cv = prog[node]
+            if op == _CONST:
+                inv_init[i] = cv
+            elif op == _PARAM:
+                inv_params.append((i, a1))
+            else:
+                inv_steps.append(forward_step(node, inv_at.__getitem__, i))
+
+        # buffer rows: the parameters (they key the invariant cache in
+        # replay_reverse), the other live lane-dependent nodes, then the
+        # outputs in order, so that they read out as one block
+        outputs = set(self.output_slots.tolist())
+        row_node = [*self.param_slots.tolist(),
+                    *(i for i in range(n)
+                      if live[i] and lane[i] and i not in outputs),
+                    *self.output_slots.tolist()]
+        row = {node: r for r, node in enumerate(row_node)}
+        fwd, in_rows, in_cols = [], [], []
+        for idx in range(n):
+            if live[idx] and lane[idx] and prog[idx][0] == _INPUT:
+                in_rows.append(row[idx])
+                in_cols.append(prog[idx][1])
+            elif live[idx] and lane[idx]:
+                fwd.append(forward_step(idx, val, row[idx]))
+        fwd += [(np.positive, val(s), None, row[s])
+                for s in self.output_slots if not lane[s]]
+
+        self._n_rows = len(row_node)
+        self._row_node = np.asarray(row_node, dtype=np.intp)
+        self._out_rows = slice(len(row_node) - self.n_outputs, len(row_node))
+        self._in_dst, self._in_src = _index(in_rows), _index(in_cols)
+        self._fwd = tuple(fwd)
+        self._consts = tuple(consts)
+        self._inv_nodes = np.asarray(inv_nodes, dtype=np.intp)
+        self._inv_init = inv_init
+        self._inv_param_rows = _index(i for i, _ in inv_params)
+        self._inv_param_idx = _index(k for _, k in inv_params)
+        self._inv_steps = tuple(inv_steps)
+        (self._rev, self._rev_groups, self._n_adj, self._seed_cols,
+         self._n_seed, self._grad_rows) = self._compile_reverse(
+            args, active, val, const, len(row_node))
+
+    def _compile_reverse(self, args, active, val, const, base):
+        """The reverse schedule over the active nodes.
+
+        Adjoint rows are indexed from ``base`` (after the buffer rows) and
+        reused once their node is swept.  An adjoint's first write is an
+        assignment; the last contribution of a node transforms the node's
+        own, now dead, row in place and hands it on.  ``val`` and ``const``
+        give the row-list index of a node's value and of a constant.
+        """
+        prog = self._prog
+        free: list[int] = []
+        n_adj = 0
+
+        def alloc():
+            nonlocal n_adj
+            if free:
+                return free.pop()
+            n_adj += 1
+            return base + n_adj - 1
+
+        slot = {}
+        seed_cols = [k for k, s in enumerate(self.output_slots) if active[s]]
+        for k in seed_cols:
+            slot[self.output_slots[k]] = alloc()
+        temps = {}
+
+        def temp(name):
+            if name not in temps:
+                temps[name] = alloc()
+            return temps[name]
+
+        def scale_by(node):
+            # g * 1.0 is g, bit for bit: skip the step
+            if prog[node][0] == _CONST and prog[node][3] == 1.0:
+                return []
+            return [(np.multiply, val(node))]
+
+        rev, groups = [], []
+        for s in self.param_slots:
+            if not active[s]:  # a parameter no output depends on
+                slot[s] = temp("zero")
+        if "zero" in temps:
+            rev.append((np.positive, const(0.0), None, temps["zero"]))
+        for idx in range(len(prog) - 1, -1, -1):
+            op, a1, a2, cv = prog[idx]
+            if not (active[idx] and args[idx]):
+                continue
+            g = slot.pop(idx)
+            pre = []
+            if op == _ADD:
+                contribs = [(a1, [], 1), (a2, [], 1)]
+            elif op == _SUB:
+                contribs = [(a1, [], 1), (a2, [], -1)]
+            elif op == _MUL:
+                contribs = [(a1, scale_by(a2), 1), (a2, scale_by(a1), 1)]
+            elif op == _DIV:
+                pre = [(np.divide, val(a2))]
+                contribs = [(a1, [], 1), (a2, [(np.multiply, val(idx))], -1)]
+            elif op == _NEG:
+                contribs = [(a1, [], -1)]
+            elif op == _EXP:
+                contribs = [(a1, [(np.multiply, val(idx))], 1)]
+            elif op == _LOG:
+                contribs = [(a1, [(np.divide, val(a1))], 1)]
+            elif op == _SQRT:
+                pre = [(np.multiply, const(0.5))]
+                contribs = [(a1, [(np.divide, val(idx))], 1)]
+            else:  # _POWC, _MAX0: g * factor(value of a1)
+                factor = temp("factor")
+                if op == _POWC:
+                    rev.append((_power, val(a1), const(cv - 1.0), factor))
+                    pre = [(np.multiply, const(cv))]
+                else:
+                    rev.append((np.greater, val(a1), const(0.0), factor))
+                contribs = [(a1, [(np.multiply, factor)], 1)]
+            rev += [(f, g, v, g) for f, v in pre]
+            contribs = [c for c in contribs if active[c[0]]]
+            moved = False
+            for p, (a, chain, sign) in enumerate(contribs):
+                last = p == len(contribs) - 1
+                first = a not in slot
+                if last or not chain:
+                    x = g
+                    if last:
+                        rev += [(f, g, v, g) for f, v in chain]
+                else:
+                    x = alloc() if first else temp("term")
+                    rev += [(f, g if k == 0 else x, v, x)
+                            for k, (f, v) in enumerate(chain)]
+                if not first:
+                    rev.append((np.add if sign > 0 else np.subtract,
+                                slot[a], x, slot[a]))
+                elif x == g and not last:  # g is still needed: copy it
+                    slot[a] = alloc()
+                    rev.append((np.positive if sign > 0 else np.negative,
+                                g, None, slot[a]))
+                else:
+                    if sign < 0:
+                        rev.append((np.negative, x, None, x))
+                    slot[a] = x
+                    moved |= x == g
+            if not moved:
+                free.append(g)
+            groups.append((len(rev), idx, sorted({slot[c[0]] for c in contribs})))
+
+        return (tuple(rev), tuple(groups), n_adj, _index(seed_cols),
+                len(seed_cols), _index(slot[s] - base for s in self.param_slots))
+
+    def _invariants(self, params):
+        """``(key, scalars, values)`` of the live lane-invariant nodes.
+
+        One-lane replay of ``_inv_steps``, cached under the parameter
+        bytes.  ``scalars`` is the tail of a replay's row list; ``values``
+        follows ``_inv_nodes``.
+        """
+        key = params.tobytes()
+        entry = self._cache
+        if entry[0] != key:  # replays racing on a miss each store a whole entry
+            vals = self._inv_init[:, None].copy()
+            vals[self._inv_param_rows, 0] = params[self._inv_param_idx]
+            with np.errstate(all="ignore"):
+                _run(self._inv_steps, [*vals, *self._consts])
+            inv = vals[:, 0]
+            # 0-d arrays: a ufunc takes them faster than numpy scalars
+            entry = (key, [*map(np.array, inv), *self._consts], inv)
+            self._cache = entry
+        return entry
 
     # -- replay engine ------------------------------------------------------
 
     def alloc_buffer(self, n_lanes: int) -> np.ndarray:
-        """Allocate a value buffer: one lane group per tape node."""
-        return np.empty((self.n_nodes, n_lanes), dtype=np.float64)
+        """Allocate a value buffer of shape ``(n_rows, n_lanes)``.
+
+        Rows are the parameters and the lane-dependent nodes that reach an
+        output (40 of the default fixture's 75 nodes), plus one per output
+        that does not depend on the inputs; not every node.
+        """
+        return np.empty((self._n_rows, n_lanes), dtype=np.float64)
 
     def _check_params(self, params) -> np.ndarray:
         params = np.asarray(params, dtype=np.float64)
@@ -294,7 +601,9 @@ class Tape:
         ``inputs`` has shape (n_lanes, n_inputs).  Returns ``(outputs,
         buffer)`` with outputs of shape (n_lanes, n_outputs).  The filled
         buffer can be fed to :meth:`replay_reverse` to avoid recomputing
-        the forward pass.
+        the forward pass.  A non-finite output raises
+        :class:`NonFiniteError` naming the first node, in tape order, with a
+        non-finite value.
         """
         params = self._check_params(params)
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -306,54 +615,27 @@ class Tape:
         n_lanes = inputs.shape[0]
         if buffer is None:
             buffer = self.alloc_buffer(n_lanes)
-        elif buffer.shape != (self.n_nodes, n_lanes):
+        elif buffer.shape != (self._n_rows, n_lanes):
             raise ValueError("buffer shape does not match tape/lanes")
 
-        w = inputs.T  # (n_inputs, lanes) view; column slices below are rows
+        entry = self._invariants(params)
+        buffer[: self.n_params] = params[:, None]
+        buffer[self._in_dst] = inputs.T[self._in_src]
         # non-finite values are detected explicitly below; keep IEEE quiet
         with np.errstate(all="ignore"):
-            self._forward_sweep(buffer, params, w)
-        outputs = buffer[self.output_slots].T.copy()
+            _run(self._fwd, [*buffer, *entry[1]])
+        outputs = buffer[self._out_rows].T.copy()
         if check_finite and not np.all(np.isfinite(outputs)):
-            self._raise_non_finite(buffer)
+            self._raise_non_finite(buffer, entry[2])
         if counters is not None:
             counters.f_evals += n_lanes
             counters.f_batch_calls += 1
         return outputs, buffer
 
-    def _forward_sweep(self, buffer, params, w):
-        for idx, (op, a1, a2, cv) in enumerate(self._prog):
-            out = buffer[idx]
-            if op == _MUL:
-                np.multiply(buffer[a1], buffer[a2], out=out)
-            elif op == _ADD:
-                np.add(buffer[a1], buffer[a2], out=out)
-            elif op == _SUB:
-                np.subtract(buffer[a1], buffer[a2], out=out)
-            elif op == _DIV:
-                np.divide(buffer[a1], buffer[a2], out=out)
-            elif op == _EXP:
-                np.exp(buffer[a1], out=out)
-            elif op == _MAX0:
-                np.maximum(buffer[a1], 0.0, out=out)
-            elif op == _CONST:
-                out[:] = cv
-            elif op == _PARAM:
-                out[:] = params[a1]
-            elif op == _INPUT:
-                out[:] = w[a1]
-            elif op == _NEG:
-                np.negative(buffer[a1], out=out)
-            elif op == _LOG:
-                np.log(buffer[a1], out=out)
-            elif op == _SQRT:
-                np.sqrt(buffer[a1], out=out)
-            elif op == _POWC:
-                np.power(buffer[a1], cv, out=out)
-
-    def _raise_non_finite(self, buffer):
-        bad = ~np.isfinite(buffer).all(axis=1)
-        node = int(np.argmax(bad))
+    def _raise_non_finite(self, buffer, inv):
+        bad = [*self._inv_nodes[~np.isfinite(inv)],
+               *self._row_node[~np.isfinite(buffer).all(axis=1)]]
+        node = int(min(bad))
         raise NonFiniteError(node, _OP_NAMES[self._prog[node][0]])
 
     def replay_reverse(self, buffer, seeds, *, counters=None) -> np.ndarray:
@@ -364,8 +646,14 @@ class Tape:
         (n_lanes, n_params): row j holds sum_i seeds[j, i] * dy_i/dparam.
         A non-finite parameter adjoint raises :class:`NonFiniteError` naming
         the first node, in sweep order, whose step wrote a non-finite
-        adjoint.
+        adjoint among the adjoints that reach a parameter (adjoints of
+        constants, inputs and other parameter-free nodes are not formed).
         """
+        if buffer.ndim != 2 or buffer.shape[0] != self._n_rows:
+            raise ValueError(
+                f"expected a buffer of shape ({self._n_rows}, lanes), "
+                f"got shape {buffer.shape}"
+            )
         n_lanes = buffer.shape[1]
         seeds = np.asarray(seeds, dtype=np.float64)
         if seeds.shape != (n_lanes, self.n_outputs):
@@ -373,56 +661,37 @@ class Tape:
                 f"expected seeds of shape ({n_lanes}, {self.n_outputs}), "
                 f"got {seeds.shape}"
             )
-        adj = self._reverse_sweep(buffer, seeds)
-        grads = adj[self.param_slots].T.copy()
-        if not np.all(np.isfinite(grads)):
-            self._reverse_sweep(buffer, seeds, locate=True)
+        grads = np.empty((n_lanes, self.n_params), dtype=np.float64)
+        if n_lanes:
+            entry = self._invariants(buffer[: self.n_params, 0])
+            adj = self._reverse_sweep(buffer, seeds, entry)
+            # the first write of an adjoint is an assignment, which keeps a
+            # -0.0 that accumulating onto +0.0 would not: fold it here
+            np.add(adj[self._grad_rows].T, 0.0, out=grads)
+            if not np.all(np.isfinite(grads)):
+                self._reverse_sweep(buffer, seeds, entry, locate=True)
         if counters is not None:
             counters.r_evals += n_lanes
             counters.r_batch_calls += 1
         return grads
 
-    def _reverse_sweep(self, buffer, seeds, locate=False) -> np.ndarray:
-        """Node adjoints of shape (n_nodes, n_lanes); with ``locate``, raise
-        at the first node whose step writes a non-finite adjoint."""
-        adj = np.zeros((self.n_nodes, buffer.shape[1]), dtype=np.float64)
-        adj[self.output_slots] = seeds.T  # output slots are distinct
-        prog = self._prog
+    def _reverse_sweep(self, buffer, seeds, entry, locate=False) -> np.ndarray:
+        """Adjoint rows after the reverse schedule; with ``locate``, raise at
+        the first node whose step writes a non-finite adjoint."""
+        adj = np.empty((self._n_adj, buffer.shape[1]), dtype=np.float64)
+        adj[: self._n_seed] = seeds.T[self._seed_cols]
+        rows = [*buffer, *adj, *entry[1]]
         # non-finite parameter adjoints are detected by the caller
         with np.errstate(all="ignore"):
-            for idx in range(self.n_nodes - 1, -1, -1):
-                op, a1, a2, cv = prog[idx]
-                if op <= _INPUT:  # leaves
-                    continue
-                g = adj[idx]
-                if op == _MUL:
-                    adj[a1] += g * buffer[a2]
-                    adj[a2] += g * buffer[a1]
-                elif op == _ADD:
-                    adj[a1] += g
-                    adj[a2] += g
-                elif op == _SUB:
-                    adj[a1] += g
-                    adj[a2] -= g
-                elif op == _EXP:
-                    adj[a1] += g * buffer[idx]
-                elif op == _MAX0:
-                    adj[a1] += g * (buffer[a1] > 0.0)
-                elif op == _DIV:
-                    gb = g / buffer[a2]
-                    adj[a1] += gb
-                    adj[a2] -= gb * buffer[idx]
-                elif op == _NEG:
-                    adj[a1] -= g
-                elif op == _LOG:
-                    adj[a1] += g / buffer[a1]
-                elif op == _SQRT:
-                    adj[a1] += 0.5 * g / buffer[idx]
-                elif op == _POWC:
-                    adj[a1] += g * cv * buffer[a1] ** (cv - 1.0)
-                if locate and not (np.isfinite(adj[a1]).all() and (
-                        op not in _BINARY or np.isfinite(adj[a2]).all())):
-                    raise NonFiniteError(idx, _OP_NAMES[op])
+            if not locate:
+                _run(self._rev, rows)
+                return adj
+            start = 0
+            for end, node, written in self._rev_groups:
+                _run(self._rev[start:end], rows)
+                start = end
+                if not all(np.isfinite(rows[r]).all() for r in written):
+                    raise NonFiniteError(node, _OP_NAMES[self._prog[node][0]])
         return adj
 
     # -- public single-set API ----------------------------------------------
@@ -438,8 +707,9 @@ class Tape:
             params, inputs[None, :], counters=counters, check_finite=False
         )
         # one-lane replay is cheap enough to locate any bad node exactly
-        if not np.all(np.isfinite(buffer)):
-            self._raise_non_finite(buffer)
+        inv = self._invariants(self._check_params(params))[2]
+        if not (np.all(np.isfinite(buffer)) and np.all(np.isfinite(inv))):
+            self._raise_non_finite(buffer, inv)
         return outputs[0]
 
     def reverse(self, params, inputs, seed, *, forward_buffer=None,

@@ -2,14 +2,21 @@
 
 The independent oracle for every gradient assertion here is a central
 finite difference of the replayed forward program; reverse-mode results
-must match it at points kept away from the max0 kink.
+must match it at points kept away from the max0 kink.  The compiled replay
+is also checked byte for byte against the node-by-node reference sweeps in
+``tape_oracle``.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
+import tape_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcadjoint.model as mdl
 import mcadjoint.tape as tp
 
 
@@ -47,6 +54,71 @@ def call_payoff_tape():
     return tp.record(program, n_params=2, n_inputs=1)
 
 
+def assert_same_bits(a, b):
+    """Equal shapes and bytes; NaN matches NaN whatever its payload."""
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    assert a.shape == b.shape
+    same = (a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))
+    assert same.all()
+
+
+def sample_values(rng, shape):
+    """Mostly moderate values, with exact zeros of either sign mixed in."""
+    v = rng.uniform(-1.0, 2.0, shape)
+    return np.where(rng.random(shape) < 0.1, rng.choice([0.0, -0.0], shape), v)
+
+
+PRIMITIVES = ("add", "sub", "mul", "div", "neg", "exp", "log", "sqrt",
+              "pow", "max0", "const")
+LITERALS = (0.0, -0.0, 1.0, -0.5, 2.0, 3.5)
+EXPONENTS = (2.0, 0.5, -1.0, 3.0, 1.5)
+
+
+@st.composite
+def random_programs(draw):
+    """``(program, n_params, n_inputs)`` over the whole primitive set.
+
+    Operands are drawn from every earlier value, so programs hold
+    lane-invariant (param/constant-only) subgraphs, unused params, and
+    outputs that are params, inputs, constants or repeats.  Every fourth
+    operand pick is a float literal instead.
+    """
+    n_params = draw(st.integers(0, 3))
+    n_inputs = draw(st.integers(0 if n_params else 1, 3))
+    index = st.integers(0, 1000)
+    steps = draw(st.lists(st.tuples(st.sampled_from(PRIMITIVES), index, index,
+                                    st.integers(0, 4)), min_size=1, max_size=14))
+    picks = draw(st.lists(index, min_size=1, max_size=4))
+
+    def program(p, w):
+        pool = [*p, *w]
+        for name, i, j, c in steps:
+            x = pool[i % len(pool)]
+            y = LITERALS[c] if j % 4 == 0 else pool[j % len(pool)]
+            if name == "const":
+                v = x.builder.const(LITERALS[c])
+            elif name == "add":
+                v = x + y
+            elif name == "sub":
+                v = x - y
+            elif name == "mul":
+                v = x * y
+            elif name == "div":
+                v = x / y
+            elif name == "neg":
+                v = -x
+            elif name == "pow":
+                v = x ** EXPONENTS[c]
+            else:
+                v = {"exp": tp.exp, "log": tp.log, "sqrt": tp.sqrt,
+                     "max0": tp.max0}[name](x)
+            pool.append(v)
+        return [pool[k % len(pool)] for k in picks]
+
+    return program, n_params, n_inputs
+
+
 class TestRecord:
     def test_single_multiplication(self):
         tape = tp.record(lambda p, w: [p[0] * w[0]], n_params=1, n_inputs=1)
@@ -69,6 +141,14 @@ class TestRecord:
         tape = tp.record(lambda p, w: [p[0]], n_params=1, n_inputs=0)
         slots = set(tape.param_slots) | set(tape.input_slots) | set(tape.output_slots)
         assert len(slots) == tape.n_params + tape.n_inputs + tape.n_outputs
+
+    def test_slots_must_name_matching_nodes(self):
+        ops = [(tp._PARAM, 0, -1, 0.0), (tp._INPUT, 0, -1, 0.0),
+               (tp._MUL, 0, 1, 0.0)]
+        tp.Tape(ops, [0], [1], [2])
+        for params, inputs, outputs in (([1], [0], [2]), ([0], [1], [3])):
+            with pytest.raises(tp.TapeError, match="slot"):
+                tp.Tape(ops, params, inputs, outputs)
 
     def test_unsupported_primitive_named(self):
         with pytest.raises(tp.UnsupportedPrimitiveError, match="exponent"):
@@ -290,3 +370,110 @@ class TestBatch:
         tape.replay_reverse(buf, np.ones((4, 1)), counters=counters)
         assert counters.f_evals == 4
         assert counters.r_evals == 4
+
+
+class TestCompiledReplay:
+    """The compiled schedules against the node-by-node reference sweeps."""
+
+    def test_buffer_holds_params_and_lane_dependent_nodes(self):
+        # exp(p) does not depend on the input: it is hoisted, not stored
+        tape = tp.record(lambda p, w: [tp.exp(p[0]) * w[0]],
+                         n_params=1, n_inputs=1)
+        assert tape.n_nodes == 4
+        assert tape.alloc_buffer(2).shape == (3, 2)
+
+    def test_non_finite_invariant_node_named(self):
+        # log(p0) does not depend on the input; at p0 = 0 it is the first
+        # bad node although the replay evaluates it once, off the buffer
+        tape = tp.record(lambda p, w: [tp.log(p[0]) * w[0]],
+                         n_params=1, n_inputs=1)
+        for call in (lambda: tape.replay_forward([0.0], np.ones((3, 1))),
+                     lambda: tape.forward([0.0], [1.0])):
+            with pytest.raises(tp.NonFiniteError, match="log") as exc:
+                call()
+            assert exc.value.node_index == 2
+
+    def test_reverse_reads_the_buffers_own_params(self):
+        tape = call_payoff_tape()
+        block = np.random.default_rng(3).standard_normal((16, 1))
+        seeds = np.ones((16, 1))
+        vectors = ([0.2, 95.0], [0.3, 90.0])
+        filled = [tape.replay_forward(p, block) for p in vectors]
+        # the invariant cache now holds the second vector's values
+        for p, (out, buf) in reversed(list(zip(vectors, filled))):
+            ref = oracle.forward(tape, p, block)
+            assert_same_bits(out, ref[tape.output_slots].T)
+            assert_same_bits(tape.replay_reverse(buf, seeds),
+                             oracle.reverse(tape, ref, seeds)[tape.param_slots].T)
+
+    def test_threads_with_different_params_match_reference(self):
+        # more threads than cores, each with its own parameter vector, and a
+        # short switch interval: a replay that read invariants cached for
+        # another thread's parameters would break the match
+        spec, curve = mdl.default_fixture()
+        tape = mdl.build_model_tape(spec, curve)
+        block = np.random.default_rng(4).standard_normal((64, tape.n_inputs))
+        seeds = np.ones((64, tape.n_outputs))
+        vectors = [curve.knot_vols * s + 0.05 * k
+                   for k, s in enumerate((1.0, 0.5, 0.8, 1.3))]
+
+        def replay(params):
+            out, buf = tape.replay_forward(params, block)
+            return out, tape.replay_reverse(buf, seeds)
+
+        def reference(params):
+            ref = oracle.forward(tape, params, block)
+            return (ref[tape.output_slots].T,
+                    oracle.reverse(tape, ref, seeds)[tape.param_slots].T)
+
+        serial = [reference(p) for p in vectors]
+        barrier = threading.Barrier(len(vectors))
+        matches = [0] * len(vectors)
+
+        def worker(k):
+            barrier.wait()
+            for _ in range(200):
+                out, grads = replay(vectors[k])
+                matches[k] += bool((out == serial[k][0]).all()
+                                   and (grads == serial[k][1]).all())
+
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(len(vectors))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert matches == [200] * len(vectors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(program=random_programs(), lanes=st.sampled_from([1, 7, 2048]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_replay_matches_reference(self, program, lanes, seed):
+        tape = tp.record(*program)
+        rng = np.random.default_rng(seed)
+        params = sample_values(rng, tape.n_params)
+        inputs = sample_values(rng, (lanes, tape.n_inputs))
+        seeds = sample_values(rng, (lanes, tape.n_outputs))
+
+        out, buf = tape.replay_forward(params, inputs, check_finite=False)
+        ref = oracle.forward(tape, params, inputs)
+        assert_same_bits(out, ref[tape.output_slots].T)
+        if not np.isfinite(out).all():
+            with pytest.raises(tp.NonFiniteError) as exc:
+                tape.replay_forward(params, inputs)
+            assert exc.value.node_index == oracle.first_non_finite(tape, ref)
+
+        ref_grads = oracle.reverse(tape, ref, seeds)[tape.param_slots].T
+        if np.isfinite(ref_grads).all():
+            assert_same_bits(tape.replay_reverse(buf, seeds), ref_grads)
+        else:
+            with pytest.raises(tp.NonFiniteError) as exc:
+                tape.replay_reverse(buf, seeds)
+            assert exc.value.node_index == oracle.reverse(tape, ref, seeds,
+                                                          locate=True)
