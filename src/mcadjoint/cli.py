@@ -40,20 +40,6 @@ __all__ = [
     "read_csv_table",
 ]
 
-_DEFAULTS = {
-    "spec": None,
-    "alg": [1, 2, 3],
-    "nmc": [100_000, 1_000_000],
-    "seed": 42,
-    "batch_width": 8,
-    "threads": 1,
-    "out": "out",
-    "repeats": 3,
-    "max_iter": 40,
-    "generator": "philox",
-}
-
-
 @dataclass
 class RunConfig:
     subcommand: str
@@ -85,17 +71,14 @@ class RunConfig:
         return out
 
 
-_GRAD_FNS = {1: est.grad_est1, 2: est.grad_est2, 3: est.grad_est3}
-
-
 def _timed_estimate(cfg: RunConfig, alg, tape, vols, paths, targets):
     """Median-of-repeats wall time; the estimate itself is seed-determined."""
     times = []
     estimate = None
     for _ in range(max(1, cfg.repeats)):
         t0 = time.perf_counter()
-        estimate = _GRAD_FNS[alg](tape, vols, paths, targets,
-                                  n_threads=cfg.threads)
+        estimate = opt._ESTIMATORS[alg](tape, vols, paths, targets,
+                                        n_threads=cfg.threads)
         times.append(time.perf_counter() - t0)
     return estimate, statistics.median(times) * 1e6  # microseconds
 
@@ -236,18 +219,20 @@ def _parse_int_list(text):
     return [int(float(tok)) for tok in str(text).split(",") if tok.strip()]
 
 
-def _read_config_file(path):
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip().lower().replace("-", "_")] = value.strip()
-    return values
+# config-file key / flag dest -> (RunConfig field, parser); RunConfig
+# holds the defaults
+_KEYS = {
+    "spec": ("spec_path", str),
+    "alg": ("algorithms", _parse_int_list),
+    "nmc": ("n_mc_list", _parse_int_list),
+    "seed": ("seed", int),
+    "batch_width": ("batch_width", int),
+    "threads": ("threads", int),
+    "out": ("out_dir", str),
+    "repeats": ("repeats", int),
+    "max_iter": ("max_iter", int),
+    "generator": ("generator_id", str),
+}
 
 
 def _build_parser():
@@ -281,29 +266,20 @@ def _build_parser():
 
 
 def _resolve(args) -> RunConfig:
-    merged = dict(_DEFAULTS)
+    given = {}
     if getattr(args, "config", None):
-        for key, value in _read_config_file(args.config).items():
-            if key not in merged:
+        for _, key, value in mdl.read_key_values(args.config):
+            key = key.replace("-", "_")
+            if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            merged[key] = value
-    for key in merged:
+            given[key] = value
+    for key in _KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[key] = flag
-    return RunConfig(
-        subcommand=args.subcommand,
-        spec_path=merged["spec"],
-        algorithms=_parse_int_list(merged["alg"]) if not isinstance(merged["alg"], list) else merged["alg"],
-        n_mc_list=_parse_int_list(merged["nmc"]) if not isinstance(merged["nmc"], list) else merged["nmc"],
-        seed=int(merged["seed"]),
-        batch_width=int(merged["batch_width"]),
-        threads=int(merged["threads"]),
-        out_dir=str(merged["out"]),
-        repeats=int(merged["repeats"]),
-        max_iter=int(merged["max_iter"]),
-        generator_id=str(merged["generator"]),
-    )
+            given[key] = flag
+    fields = {_KEYS[key][0]: _KEYS[key][1](value)
+              for key, value in given.items()}
+    return RunConfig(subcommand=args.subcommand, **fields)
 
 
 _COMMANDS = {

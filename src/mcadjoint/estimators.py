@@ -60,6 +60,9 @@ __all__ = [
 # double per path per buffer row, a parameter or lane-dependent node: 40 of
 # the default fixture's 75 nodes, 0.66 MB) small
 BLOCK_PATHS = 2048
+# rows per chunk of algorithm 1's variance reduction; fixed, so that the
+# variance does not depend on the blocking or the thread count
+_VAR_ROWS = 4096
 
 
 @dataclass
@@ -96,7 +99,7 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
     if algorithm == 1:
         if n < 2:
             return np.full(terms.shape[1], np.nan)
-        return terms.var(axis=0, ddof=1) / n
+        return _sum_sq_dev(terms) / (n - 1) / n
     if algorithm in (2, 3):
         if n < 16 * batch_count:
             raise ValueError(
@@ -107,6 +110,24 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
         means = terms[: batch_count * size].reshape(batch_count, size, -1).mean(axis=1)
         return means.var(axis=0, ddof=1) / batch_count
     raise ValueError(f"unknown algorithm {algorithm}")
+
+
+def _sum_sq_dev(terms) -> np.ndarray:
+    """Per-column sum of squared deviations from the mean, two-pass.
+
+    Works through ``_VAR_ROWS`` rows at a time instead of an n x M copy.
+    The running sum is row 0 of each chunk, so rows are summed in order.
+    """
+    mean = terms.mean(axis=0)
+    chunk = np.empty((_VAR_ROWS + 1, terms.shape[1]))
+    chunk[0] = 0.0
+    for lo in range(0, terms.shape[0], _VAR_ROWS):
+        rows = terms[lo: lo + _VAR_ROWS]
+        dev = chunk[1: len(rows) + 1]
+        np.subtract(rows, mean, out=dev)
+        np.multiply(dev, dev, out=dev)
+        chunk[0] = chunk[: len(rows) + 1].sum(axis=0)
+    return chunk[0]
 
 
 def _as_term_matrix(per_path_terms) -> np.ndarray:

@@ -6,9 +6,10 @@ independent standard-normal driver w per distinct expiry, so E S(T) = S0.
 The calibration loss is g = 0.5 * sum_i (E y_i - C_i)^2 over the quoted
 options.
 
-``payoffs`` and ``build_model_tape`` share the same arithmetic, operation
-for operation, so the recorded tape reproduces the direct evaluation
-bit-for-bit.
+The payoff program is written once: ``payoffs`` evaluates it directly on
+numpy arrays and ``build_model_tape`` records it, so the recorded tape
+reproduces the direct evaluation bit-for-bit; ``vol_at`` and
+``terminal_price`` call its volatility and terminal-price pieces.
 """
 
 from __future__ import annotations
@@ -148,25 +149,46 @@ def _interp_weights(knot_times: np.ndarray, t: float):
     return lo, hi, 1.0 - w_hi, w_hi
 
 
+def _sigma(knot_times, vols, t):
+    """Interpolated volatility at time t from knot values ``vols``."""
+    lo, hi, w_lo, w_hi = _interp_weights(knot_times, t)
+    if w_hi == 0.0:
+        return w_lo * vols[lo]
+    return w_lo * vols[lo] + w_hi * vols[hi]
+
+
+def _terminal(spot, sig, t, w, exp):
+    """S(T) = spot * exp(sigma^2 (-T/2) + sigma sqrt(T) w)."""
+    return spot * exp(sig * sig * (-0.5 * t) + sig * math.sqrt(t) * w)
+
+
+def _call_payoffs(spec: MarketSpec, knot_times, vols, inputs, exp, max0):
+    """The payoff program: yields y_i = max0(S(T_i) - K_i) in option order.
+
+    ``inputs[k]`` is the driver of the k-th distinct expiry.  It runs on
+    numpy values (``payoffs``) and on trace variables (``build_model_tape``),
+    so the recorded tape performs exactly the direct evaluation's arithmetic.
+    """
+    distinct, cols = spec.driver_layout()
+    s_at = [_terminal(spec.spot, _sigma(knot_times, vols, t), t, inputs[k], exp)
+            for k, t in enumerate(distinct)]
+    for i, opt in enumerate(spec.options):
+        yield max0(s_at[cols[i]] - opt.strike)
+
+
 def vol_at(curve: VolCurve, t: float) -> float:
     """Interpolated volatility at time t (flat extrapolation off the grid)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    lo, hi, w_lo, w_hi = _interp_weights(curve.knot_times, float(t))
-    v = curve.knot_vols
-    if w_hi == 0.0:
-        return float(w_lo * v[lo])
-    return float(w_lo * v[lo] + w_hi * v[hi])
+    return float(_sigma(curve.knot_times, curve.knot_vols, float(t)))
 
 
 def terminal_price(spot: float, curve: VolCurve, expiry: float, w):
     """Terminal asset value S(T) for standard-normal draw(s) w."""
     if expiry <= 0:
         raise ValueError("expiry must be > 0")
-    sig = vol_at(curve, expiry)
-    w = np.asarray(w, dtype=np.float64)
-    z = sig * sig * (-0.5 * expiry) + sig * math.sqrt(expiry) * w
-    return spot * np.exp(z)
+    return _terminal(spot, vol_at(curve, expiry), expiry,
+                     np.asarray(w, dtype=np.float64), np.exp)
 
 
 def payoffs(spec: MarketSpec, curve: VolCurve, w):
@@ -179,23 +201,16 @@ def payoffs(spec: MarketSpec, curve: VolCurve, w):
     single = w.ndim == 1
     if single:
         w = w[None, :]
-    distinct, cols = spec.driver_layout()
-    if w.shape[1] != distinct.size:
+    if w.shape[1] != spec.n_drivers:
         raise ValueError(
-            f"expected {distinct.size} drivers (one per distinct expiry), "
+            f"expected {spec.n_drivers} drivers (one per distinct expiry), "
             f"got {w.shape[1]}"
         )
-    # same arithmetic, in the same order, as the recorded tape
-    s_at = {}
-    for k, t in enumerate(distinct):
-        lo, hi, w_lo, w_hi = _interp_weights(curve.knot_times, t)
-        v = curve.knot_vols
-        sig = w_lo * v[lo] if w_hi == 0.0 else w_lo * v[lo] + w_hi * v[hi]
-        z = sig * sig * (-0.5 * t) + sig * math.sqrt(t) * w[:, k]
-        s_at[k] = spec.spot * np.exp(z)
     out = np.empty((w.shape[0], spec.n_options), dtype=np.float64)
-    for i, opt in enumerate(spec.options):
-        out[:, i] = np.maximum(s_at[cols[i]] - opt.strike, 0.0)
+    program = _call_payoffs(spec, curve.knot_times, curve.knot_vols, w.T,
+                            np.exp, lambda x: np.maximum(x, 0.0))
+    for i, y in enumerate(program):
+        out[:, i] = y
     return out[0] if single else out
 
 
@@ -240,26 +255,34 @@ def build_model_tape(spec: MarketSpec, curve: VolCurve) -> tp.Tape:
     inputs and m = n_options outputs, and replays identically to
     :func:`payoffs` at any parameter vector (knot times stay fixed).
     """
-    distinct, cols = spec.driver_layout()
-    knot_times = curve.knot_times
-
     def program(params, inputs):
-        s_at = {}
-        for k, t in enumerate(distinct):
-            lo, hi, w_lo, w_hi = _interp_weights(knot_times, t)
-            if w_hi == 0.0:
-                sig = w_lo * params[lo]
-            else:
-                sig = w_lo * params[lo] + w_hi * params[hi]
-            z = sig * sig * (-0.5 * t) + sig * math.sqrt(t) * inputs[k]
-            s_at[k] = spec.spot * tp.exp(z)
-        return [tp.max0(s_at[cols[i]] - opt.strike)
-                for i, opt in enumerate(spec.options)]
+        return _call_payoffs(spec, curve.knot_times, params, inputs,
+                             tp.exp, tp.max0)
 
-    return tp.record(program, n_params=curve.n_knots, n_inputs=distinct.size)
+    return tp.record(program, n_params=curve.n_knots, n_inputs=spec.n_drivers)
 
 
 # -- plain-text market configuration -----------------------------------------
+
+
+def read_key_values(path) -> list:
+    """``(lineno, key, value)`` per entry of a ``key = value`` file.
+
+    '#' starts a comment and blank lines are skipped; keys are stripped and
+    lower-cased, values stripped.  A line without '=' raises ValueError
+    located as ``path:lineno``.
+    """
+    entries = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            entries.append((lineno, key.strip().lower(), value.strip()))
+    return entries
 
 
 def load_market_file(path) -> tuple[MarketSpec, VolCurve]:
@@ -274,30 +297,22 @@ def load_market_file(path) -> tuple[MarketSpec, VolCurve]:
     spot = None
     options = []
     knots = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip().lower()
-            fields = value.split()
-            if key == "spot":
-                spot = float(fields[0])
-            elif key == "option":
-                if len(fields) != 3:
-                    raise ValueError(
-                        f"{path}:{lineno}: option needs strike, expiry, price"
-                    )
-                options.append(OptionQuote(*map(float, fields)))
-            elif key == "knot":
-                if len(fields) != 2:
-                    raise ValueError(f"{path}:{lineno}: knot needs time, vol")
-                knots.append((float(fields[0]), float(fields[1])))
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+    for lineno, key, value in read_key_values(path):
+        fields = value.split()
+        if key == "spot":
+            spot = float(fields[0])
+        elif key == "option":
+            if len(fields) != 3:
+                raise ValueError(
+                    f"{path}:{lineno}: option needs strike, expiry, price"
+                )
+            options.append(OptionQuote(*map(float, fields)))
+        elif key == "knot":
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: knot needs time, vol")
+            knots.append((float(fields[0]), float(fields[1])))
+        else:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     if spot is None:
         raise ValueError(f"{path}: missing 'spot'")
     if not options:

@@ -20,6 +20,7 @@ import numpy as np
 from . import estimators as est
 from . import model as mdl
 from . import rng_paths as rng
+from .tape import ReplayCounters
 
 __all__ = [
     "LbfgsConfig",
@@ -84,14 +85,6 @@ class CalibrationTrace:
         return np.array([r.loss for r in self.records])
 
 
-class _CallCounter:
-    """Default cost model: one F per value callback, one F+R per gradient."""
-
-    def __init__(self):
-        self.f_evals = 0
-        self.r_evals = 0
-
-
 def _project(x, floor):
     return x if floor is None else np.maximum(x, floor)
 
@@ -103,13 +96,16 @@ def lbfgs_minimize(fg, x0, config: LbfgsConfig = None, *, value_fn=None,
     value_fn, when given, supplies cheap value-only evaluations for line
     search probes.  step_setup(k), when given, is called at the start of
     every iteration and the objective is re-evaluated afterwards (for
-    stochastic objectives whose sample changes per iteration).  Returns
-    ``(x, trace)``; ``trace.status`` reports how iteration ended.
+    stochastic objectives whose sample changes per iteration).
+    cost_tracker, when given, is a :class:`ReplayCounters` that the
+    callbacks update themselves; by default the trace counts one F per
+    value call and one F and one R per gradient call.  Returns ``(x,
+    trace)``; ``trace.status`` reports how iteration ended.
     """
     config = config or LbfgsConfig()
     x = _project(np.asarray(x0, dtype=np.float64).copy(), config.param_floor)
     n = x.size
-    counter = cost_tracker if cost_tracker is not None else _CallCounter()
+    counter = cost_tracker if cost_tracker is not None else ReplayCounters()
     track_calls = cost_tracker is None
 
     def eval_fg(z):
@@ -245,12 +241,6 @@ def _step_seed(seed: int, iteration: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-class _PathCost:
-    def __init__(self):
-        self.f_evals = 0
-        self.r_evals = 0
-
-
 def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
               n_mc: int, seed: int, config: LbfgsConfig = None, *,
               generator_id: str = "philox", n_threads: int = 1,
@@ -282,7 +272,7 @@ def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
     tape = mdl.build_model_tape(spec, curve0)
     targets = spec.prices
     grad_fn = _ESTIMATORS[algorithm]
-    cost = _PathCost()
+    cost = ReplayCounters()
     state = {"paths": None}
 
     def step_setup(iteration):

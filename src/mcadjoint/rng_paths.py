@@ -35,7 +35,6 @@ class PathBatch:
     draws: np.ndarray
     seed: int
     generator_id: str
-    layout: str = "row-per-path"
 
     @property
     def n_paths(self) -> int:

@@ -712,12 +712,10 @@ class Tape:
             self._raise_non_finite(buffer, inv)
         return outputs[0]
 
-    def reverse(self, params, inputs, seed, *, forward_buffer=None,
-                counters=None) -> np.ndarray:
+    def reverse(self, params, inputs, seed, *, counters=None) -> np.ndarray:
         """Weighted adjoints of one input set w.r.t. all parameters.
 
-        Runs a forward replay internally unless ``forward_buffer`` (from a
-        previous :meth:`replay_forward` on the same values) is supplied.
+        Runs a forward replay of the input set, then the reverse sweep.
         """
         lam = seed.lambdas if isinstance(seed, AdjointSeed) else np.asarray(seed, dtype=np.float64)
         if lam.shape != (self.n_outputs,):
@@ -726,16 +724,14 @@ class Tape:
             )
         if not np.all(np.isfinite(lam)):
             raise ValueError("adjoint seed entries must be finite")
-        if forward_buffer is None:
-            inputs = np.asarray(inputs, dtype=np.float64)
-            if inputs.shape != (self.n_inputs,):
-                raise ValueError(
-                    f"expected {self.n_inputs} inputs, got shape {inputs.shape}"
-                )
-            _, forward_buffer = self.replay_forward(
-                params, inputs[None, :], counters=counters
+        inputs = np.asarray(inputs, dtype=np.float64)
+        if inputs.shape != (self.n_inputs,):
+            raise ValueError(
+                f"expected {self.n_inputs} inputs, got shape {inputs.shape}"
             )
-        return self.replay_reverse(forward_buffer, lam[None, :], counters=counters)[0]
+        _, buffer = self.replay_forward(params, inputs[None, :],
+                                        counters=counters)
+        return self.replay_reverse(buffer, lam[None, :], counters=counters)[0]
 
 def record(program, n_params: int, n_inputs: int) -> Tape:
     """Trace ``program`` once and return the recorded tape.

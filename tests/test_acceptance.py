@@ -5,6 +5,7 @@ deterministic; tolerances are the stated acceptance bounds.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -127,17 +128,20 @@ def test_criterion_4_cost_exactness(fixture):
 
 
 def test_criterion_5_wall_clock_ordering(fixture):
-    """Single-pass algorithms beat the two-pass one by >= 1.3x at 1e6."""
+    """Single-pass algorithms beat the two-pass one by >= 1.3x at 1e6.
+
+    Each round times algorithms 1, 2 and 3 in turn, so drift in the host's
+    speed lands on all three alike rather than on one algorithm.
+    """
     spec, curve, tape = fixture
     paths = generate(42, 10**6, tape.n_inputs)
-    medians = {}
-    for alg in (1, 2, 3):
-        times = []
-        for _ in range(3):
+    times = {1: [], 2: [], 3: []}
+    for _ in range(7):
+        for alg in (1, 2, 3):
             t0 = time.perf_counter()
             GRAD_FNS[alg](tape, curve.knot_vols, paths, spec.prices)
-            times.append(time.perf_counter() - t0)
-        medians[alg] = sorted(times)[1]
+            times[alg].append(time.perf_counter() - t0)
+    medians = {alg: statistics.median(t) for alg, t in times.items()}
     r12 = medians[1] / medians[2]
     r13 = medians[1] / medians[3]
     assert r12 >= 1.3, f"t1/t2 = {r12:.2f}"

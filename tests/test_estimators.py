@@ -6,6 +6,8 @@ estimators must agree with it to rounding.  Statistical assertions use
 fixed seeds and standard-error bands.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,18 @@ class TestVarianceEstimate:
         terms = np.random.default_rng(2).standard_normal((100, 3))
         v = est.estimate_variance(terms, 1)
         np.testing.assert_allclose(v, terms.var(axis=0, ddof=1) / 100)
+
+    def test_algorithm1_makes_no_term_sized_copy(self):
+        terms = np.random.default_rng(4).standard_normal((10**5, 5))
+        before = terms.copy()
+        tracemalloc.start()
+        try:
+            est.estimate_variance(terms, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # the term matrix itself is 4 MB
+        np.testing.assert_array_equal(terms, before)
 
     def test_too_few_paths_rejected(self):
         with pytest.raises(ValueError, match="batch"):

@@ -202,6 +202,26 @@ class TestBlackScholes:
             assert abs(y[:, i].mean() - bs) < 3 * se[i]
 
 
+# knots at the expiries; expiries before the first knot, between knots
+# (shared by two options) and after the last; a single-knot curve
+TAPE_SPECS = [
+    mdl.default_fixture(),
+    (MarketSpec(spot=100.0, options=(
+        OptionQuote(95.0, 0.5, 9.0),
+        OptionQuote(100.0, 1.7, 8.0),
+        OptionQuote(110.0, 1.7, 5.0),
+        OptionQuote(105.0, 4.3, 12.0),
+        OptionQuote(120.0, 6.0, 10.0),
+    )), VolCurve([1.0, 3.0, 5.0], [0.27, 0.19, 0.33])),
+    (MarketSpec(spot=100.0, options=(
+        OptionQuote(100.0, 1.0, 8.0),
+        OptionQuote(90.0, 2.0, 15.0),
+        OptionQuote(115.0, 2.0, 6.0),
+        OptionQuote(100.0, 3.0, 14.0),
+    )), VolCurve([2.0], [0.22])),
+]
+
+
 class TestModelTape:
     def test_dimensions(self):
         spec, curve = mdl.default_fixture()
@@ -211,13 +231,20 @@ class TestModelTape:
         assert tape.n_outputs == 5
 
     def test_tape_equals_payoffs_bitwise(self):
-        spec, curve = mdl.default_fixture()
-        tape = mdl.build_model_tape(spec, curve)
         rng = np.random.default_rng(8)
-        w = rng.standard_normal((100, 5))
-        direct = mdl.payoffs(spec, curve, w)
-        replayed, _ = tape.replay_forward(curve.knot_vols, w)
-        assert (direct == replayed).all()
+        for spec, curve in TAPE_SPECS:
+            tape = mdl.build_model_tape(spec, curve)
+            w = rng.standard_normal((100, spec.n_drivers))
+            direct = mdl.payoffs(spec, curve, w)
+            replayed, _ = tape.replay_forward(curve.knot_vols, w)
+            assert (direct == replayed).all()
+            _, cols = spec.driver_layout()
+            for i, o in enumerate(spec.options):
+                s = mdl.terminal_price(spec.spot, curve, o.expiry, w[:, cols[i]])
+                assert (np.maximum(s - o.strike, 0.0) == direct[:, i]).all()
+                expected = np.interp(o.expiry, curve.knot_times, curve.knot_vols)
+                assert mdl.vol_at(curve, o.expiry) == pytest.approx(expected,
+                                                                   rel=1e-15)
 
     def test_tape_equals_payoffs_at_other_vols(self):
         spec, curve = mdl.default_fixture()
