@@ -1,8 +1,10 @@
 """Monte-Carlo adjoint estimators for gradients of g = 0.5 sum (Ey_i - C_i)^2.
 
-Three estimators, all driven by the same tape replay engine:
+Three estimators, all run by one block sweep that differs between them
+only in the seeds of each path's reverse sweep:
 
-* algorithm 1: two passes. Pass one averages the outputs to get Ey.  Pass
+* algorithm 1: two passes. Pass one replays every path forward and keeps
+  only the running sum of the outputs, in path order, to get Ey.  Pass
   two sweeps every path in reverse seeded with the fixed residuals
   Ey_i - C_i (and recomputes the forward values it needs, so forward work
   is paid twice).
@@ -20,10 +22,10 @@ forward-only.  This is the seeding of evaluating c paths at a time, each
 seeded from the chunks before it.
 
 Every estimator materializes the per-path contribution matrix (one row
-per reversed path), takes its mean for the gradient, estimates the
-per-coordinate variance of the estimator from the same rows, and carries
-exact scalar-equivalent forward/reverse evaluation counts that are checked
-against their closed forms on every run.
+per reversed path; no matrix of outputs is kept), takes its mean for the
+gradient, estimates the per-coordinate variance of the estimator from the
+same rows, and carries exact scalar-equivalent forward/reverse evaluation
+counts that are checked against their closed forms on every run.
 
 Paths are processed in blocks of about ``BLOCK_PATHS`` with lane-wise
 vectorized replay; running sums are taken in path order, so with the lane
@@ -33,9 +35,9 @@ of the worker-thread count.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +96,7 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
     dependence between consecutive terms; a non-overlapping batch-means
     estimate absorbs it.
     """
-    terms = _as_term_matrix(per_path_terms)
+    terms = np.atleast_2d(np.asarray(per_path_terms, dtype=np.float64))
     n = terms.shape[0]
     if algorithm == 1:
         if n < 2:
@@ -107,7 +109,10 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
                 f"{batch_count} batches of at least 16"
             )
         size = n // batch_count
-        means = terms[: batch_count * size].reshape(batch_count, size, -1).mean(axis=1)
+        batches = terms[: batch_count * size].reshape(batch_count, size, -1)
+        # einsum adds each batch's rows in order, as mean(axis=1) does for
+        # more than one column, at a third of the cost per row
+        means = np.einsum("bij->bj", batches) / size
         return means.var(axis=0, ddof=1) / batch_count
     raise ValueError(f"unknown algorithm {algorithm}")
 
@@ -130,16 +135,6 @@ def _sum_sq_dev(terms) -> np.ndarray:
     return chunk[0]
 
 
-def _as_term_matrix(per_path_terms) -> np.ndarray:
-    if isinstance(per_path_terms, np.ndarray):
-        terms = per_path_terms
-    else:
-        blocks = [np.atleast_2d(b) for b in per_path_terms]
-        terms = np.vstack(blocks)
-    terms = np.atleast_2d(np.asarray(terms, dtype=np.float64))
-    return terms
-
-
 def _variance_or_nan(terms, algorithm, batch_count) -> np.ndarray:
     """Internal: cap the batch count at small n instead of failing the run."""
     if algorithm == 1:
@@ -151,22 +146,21 @@ def _variance_or_nan(terms, algorithm, batch_count) -> np.ndarray:
     return estimate_variance(terms, algorithm, capped)
 
 
-# -- block scheduling ---------------------------------------------------------
+# -- the block engine ---------------------------------------------------------
 
 
-def _block_ranges(n_paths: int, lag: int = 1):
+def _block_ranges(n_paths: int, lag: int):
     """Blocks of about BLOCK_PATHS paths, each starting at a multiple of lag."""
     size = max(lag, BLOCK_PATHS // lag * lag)
     return [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
-def _map_blocks(fn, jobs, n_threads: int):
-    """Run fn over jobs, possibly in a thread pool. Results land in slots."""
-    if n_threads <= 1 or len(jobs) <= 1:
+def _map_blocks(fn, jobs, pool) -> None:
+    """Run fn over jobs, in the thread pool if there is one."""
+    if pool is None or len(jobs) <= 1:
         for job in jobs:
             fn(job)
-        return
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+    else:
         list(pool.map(fn, jobs))
 
 
@@ -203,162 +197,145 @@ def _check_counts(counters: ReplayCounters, f_expected: int, r_expected: int) ->
         )
 
 
-# -- algorithm 1: two-pass, exact residual seeds ------------------------------
+def _sweep(tape: Tape, params, paths: PathBatch, ranges, n_threads: int,
+           seed, terms=None, lag: int = 0) -> ReplayCounters:
+    """Replay the blocks of ``ranges`` and return the evaluation counts.
 
-
-def grad_est1(tape: Tape, params, paths: PathBatch, targets, *,
-              cache_forward: bool = False, batch_count: int = 32,
-              n_threads: int = 1) -> GradientEstimate:
-    """Two-pass estimator with fixed residual seeds Ey_i - C_i.
-
-    By default the reverse pass replays the forward values it needs, so
-    f_evals = 2 N and r_evals = N.  With ``cache_forward`` the pass-one
-    value buffers are kept (memory: one double per path per buffer row,
-    i.e. per parameter and lane-dependent node, 40 on the default fixture) and
-    f_evals = N.
+    A window of ``n_threads`` blocks is forwarded into reused slot buffers.
+    ``seed(lo, hi, y_blk)`` is then called for each block in path order and
+    returns the reverse seeds of paths [max(lo, lag), hi), or None for a
+    forward-only block.  The seeded lanes are reversed into ``terms``, whose
+    row r belongs to path r + lag.
     """
-    return _grad_two_pass(tape, params, paths, targets, cache_forward,
-                          batch_count, n_threads)
-
-
-def _grad_two_pass(tape: Tape, params, paths: PathBatch, targets,
-                   cache_forward: bool, batch_count: int,
-                   n_threads: int) -> GradientEstimate:
-    t0 = time.perf_counter()
-    params, targets = _check_inputs(tape, params, paths, targets)
-    n = paths.n_paths
-    if n < 1:
-        raise ValueError("paths must be nonempty")
-    ranges = _block_ranges(n)
-    y = np.empty((n, tape.n_outputs), dtype=np.float64)
     counters = [ReplayCounters() for _ in ranges]
-    buffers: list = [None] * len(ranges)
-    scratch = threading.local()
+    window = max(1, n_threads)
+    # one reused buffer per block of a window: a buffer freed after each
+    # block lets malloc return its pages, and every block faults them back
+    # in (algorithm 1 ran 2.5x slower on a 2-vCPU Xeon VM)
+    slots = [tape.alloc_buffer(ranges[0][1])
+             for _ in range(min(window, len(ranges)))]
+    with (ThreadPoolExecutor(window) if window > 1 else nullcontext()) as pool:
+        for w_start in range(0, len(ranges), window):
+            idxs = range(w_start, min(w_start + window, len(ranges)))
+            fwd_out: dict = {}
 
-    def forward(i):
-        lo, hi = ranges[i]
-        buf = None
-        if not cache_forward:
-            # one buffer per thread: a buffer freed after each block lets
-            # malloc return its pages, and every block faults them back in
-            # (algorithm 1 ran 2.5x slower on a 2-vCPU Xeon VM)
-            if not hasattr(scratch, "buf"):
-                scratch.buf = tape.alloc_buffer(ranges[0][1])
-            buf = scratch.buf[:, : hi - lo]
-        return tape.replay_forward(params, paths.draws[lo:hi], buffer=buf,
-                                   counters=counters[i])
+            def fwd(i):
+                lo, hi = ranges[i]
+                fwd_out[i] = tape.replay_forward(
+                    params, paths.draws[lo:hi],
+                    buffer=slots[i - w_start][:, : hi - lo],
+                    counters=counters[i])
 
-    def fwd(i):
-        lo, hi = ranges[i]
-        out, buf = forward(i)
-        y[lo:hi] = out
-        if cache_forward:
-            buffers[i] = buf
+            _map_blocks(fwd, idxs, pool)
 
-    _map_blocks(fwd, range(len(ranges)), n_threads)
+            jobs = []
+            for i in idxs:
+                lo, hi = ranges[i]
+                y_blk, buf = fwd_out[i]
+                seeds = seed(lo, hi, y_blk)
+                if seeds is not None:
+                    skip = lag if lo == 0 else 0  # paths 0..lag-1 seed nothing
+                    # buffer lanes line up with seed rows
+                    jobs.append((i, buf[:, skip:], seeds, lo + skip - lag))
 
-    ey = y.mean(axis=0)
-    lam = ey - targets
-    terms = np.empty((n, tape.n_params), dtype=np.float64)
+            def rev(job):
+                i, sweep_buf, seeds, row_lo = job
+                out = tape.replay_reverse(sweep_buf, seeds,
+                                          counters=counters[i])
+                terms[row_lo: row_lo + len(seeds)] = out
 
-    def rev(i):
-        lo, hi = ranges[i]
-        buf = buffers[i] if cache_forward else forward(i)[1]
-        seeds = np.broadcast_to(lam, (hi - lo, tape.n_outputs))
-        terms[lo:hi] = tape.replay_reverse(buf, seeds, counters=counters[i])
-
-    _map_blocks(rev, range(len(ranges)), n_threads)
-    scratch = None  # frees the buffer before the reductions' temporaries
-
-    total = _merge_counters(counters)
-    _check_counts(total, n if cache_forward else 2 * n, n)
-    return GradientEstimate(
-        grad=terms.mean(axis=0),
-        variance=_variance_or_nan(terms, 1, batch_count),
-        n_paths=n,
-        f_evals=total.f_evals,
-        r_evals=total.r_evals,
-        algorithm=1,
-        millis=(time.perf_counter() - t0) * 1e3,
-    )
+            _map_blocks(rev, jobs, pool)
+    return _merge_counters(counters)
 
 
-# -- algorithms 2 and 3: single pass with lagged seeds ------------------------
+def _lagged_seeds(algorithm: int, lag: int, targets, size: int):
+    """The per-block seeding step of algorithm 2 or 3 at lag ``lag``.
+
+    Path j is seeded from y_{j-lag} (algorithm 2) or from the mean over paths
+    [0, floor(j/lag) lag) (algorithm 3); calls must come in path order.
+    """
+    m = len(targets)
+    # the targets repeated per path of a block: a same-shape subtract is
+    # about 5x faster than one broadcasting a 5-wide row
+    target_rows = np.tile(targets, (size, 1))
+    carry_y = np.empty((0, m))  # last lag outputs before the block
+    carry_sum = np.zeros(m)     # sum of y over paths before the block
+    # 0, 1, 2, ... per row, offset per block into the lag-1 path counts: a
+    # same-shape divisor, like the targets
+    counts = np.tile(np.arange(size, dtype=np.float64)[:, None], (1, m))
+    divisor = np.empty_like(counts)
+
+    def seed(lo, hi, y_blk):
+        nonlocal carry_y, carry_sum
+        skip = lag if lo == 0 else 0
+        if algorithm == 2:
+            ext = np.vstack([carry_y, y_blk])
+            seeds = ext[: len(ext) - lag] - target_rows[: len(ext) - lag]
+            carry_y = ext[-lag:]
+            return seeds
+        # pre[k]: sum of y over paths [0, lo + k), summed in order; each
+        # chunk of lag paths is seeded from the mean before it
+        pre = np.empty((hi - lo + 1, m))
+        pre[0] = carry_sum
+        pre[1:] = y_blk
+        np.cumsum(pre, axis=0, out=pre)
+        carry_sum = pre[-1]
+        if lag == 1:
+            seeds = pre[skip:-1]
+            k = len(seeds)
+            np.add(counts[:k], lo + skip, out=divisor[:k])
+            seeds /= divisor[:k]
+        else:
+            starts = np.arange(skip, hi - lo, lag)
+            means = pre[skip: hi - lo: lag] / (lo + starts)[:, None]
+            seeds = np.repeat(means, lag, axis=0)[: hi - lo - skip]
+        seeds -= target_rows[: len(seeds)]
+        return seeds
+
+    return seed
 
 
-def _grad_lagged(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
-                 batch_count: int, n_threads: int, lag: int = 1) -> GradientEstimate:
+def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
+              batch_count: int, n_threads: int, lag: int = 1) -> GradientEstimate:
+    """Run algorithm 1, 2 or 3 on the block engine (algorithm 1 ignores lag)."""
     t0 = time.perf_counter()
     params, targets = _check_inputs(tape, params, paths, targets)
     n = paths.n_paths
-    if n <= lag:
+    if algorithm == 1:
+        if n < 1:
+            raise ValueError("paths must be nonempty")
+        lag = 0
+    elif n <= lag:
         raise ValueError(
             f"algorithm {algorithm} at width {lag} needs at least {lag + 1} "
             "paths: each reverse sweep is seeded from an earlier path"
         )
-    ranges = _block_ranges(n, lag)
-    counters = [ReplayCounters() for _ in ranges]
+    ranges = _block_ranges(n, max(1, lag))
+    size = ranges[0][1]
     terms = np.empty((n - lag, tape.n_params), dtype=np.float64)
+    passes = []
+    if algorithm == 1:
+        # pass one keeps the running sum of the outputs as row 0 of a stack
+        # over each block, so rows add in path order, as y.mean(axis=0) adds
+        stack = np.zeros((size + 1, tape.n_outputs))
 
-    carry_y = np.empty((0, tape.n_outputs))  # last lag outputs before block
-    carry_sum = np.zeros(tape.n_outputs)     # sum of y over paths before block
-    window = max(1, n_threads)
-    # one reused buffer per block of a window (see _grad_two_pass)
-    slots = [tape.alloc_buffer(ranges[0][1])
-             for _ in range(min(window, len(ranges)))]
-    # the targets repeated per path of a block: a same-shape subtract is
-    # about 5x faster than one broadcasting a 5-wide row
-    target_rows = np.tile(targets, (ranges[0][1], 1))
+        def add_outputs(lo, hi, y_blk):
+            stack[1: hi - lo + 1] = y_blk
+            stack[0] = stack[: hi - lo + 1].sum(axis=0)
 
-    for w_start in range(0, len(ranges), window):
-        idxs = range(w_start, min(w_start + window, len(ranges)))
-        fwd_out: dict = {}
+        passes.append(_sweep(tape, params, paths, ranges, n_threads,
+                             add_outputs))
+        lam = stack[0] / n - targets
 
-        def fwd(i):
-            lo, hi = ranges[i]
-            fwd_out[i] = tape.replay_forward(
-                params, paths.draws[lo:hi],
-                buffer=slots[i - w_start][:, : hi - lo], counters=counters[i])
+        def seed(lo, hi, y_blk):
+            return np.broadcast_to(lam, (hi - lo, tape.n_outputs))
+    else:
+        seed = _lagged_seeds(algorithm, lag, targets, size)
+    passes.append(_sweep(tape, params, paths, ranges, n_threads, seed,
+                         terms, lag))
 
-        _map_blocks(fwd, idxs, n_threads)
-
-        jobs = []
-        for i in idxs:
-            lo, hi = ranges[i]
-            y_blk, buf = fwd_out[i]
-            skip = lag if lo == 0 else 0    # paths 0..lag-1 seed nothing
-            if algorithm == 2:
-                ext = np.vstack([carry_y, y_blk])
-                seeds = ext[: len(ext) - lag] - target_rows[: len(ext) - lag]
-                carry_y = ext[-lag:]
-            else:
-                # pre[k]: sum of y over paths [0, lo + k), summed in order;
-                # each chunk of lag paths is seeded from the mean before it
-                pre = np.empty((hi - lo + 1, tape.n_outputs))
-                pre[0] = carry_sum
-                pre[1:] = y_blk
-                np.cumsum(pre, axis=0, out=pre)
-                carry_sum = pre[-1]
-                if lag == 1:
-                    seeds = pre[skip:-1]
-                    seeds /= np.arange(lo + skip, hi, dtype=np.float64)[:, None]
-                else:
-                    starts = np.arange(skip, hi - lo, lag)
-                    means = pre[skip: hi - lo: lag] / (lo + starts)[:, None]
-                    seeds = np.repeat(means, lag, axis=0)[: hi - lo - skip]
-                seeds -= target_rows[: len(seeds)]
-            # buffer lanes line up with seed rows
-            jobs.append((i, buf[:, skip:], seeds, lo + skip - lag))
-
-        def rev(job):
-            i, sweep_buf, seeds, row_lo = job
-            out = tape.replay_reverse(sweep_buf, seeds, counters=counters[i])
-            terms[row_lo: row_lo + len(seeds)] = out
-
-        _map_blocks(rev, jobs, n_threads)
-
-    total = _merge_counters(counters)
-    _check_counts(total, n, n - lag)
+    total = _merge_counters(passes)
+    _check_counts(total, 2 * n if algorithm == 1 else n, n - lag)
     return GradientEstimate(
         grad=terms.mean(axis=0),
         variance=_variance_or_nan(terms, algorithm, batch_count),
@@ -370,19 +347,30 @@ def _grad_lagged(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
     )
 
 
+# -- the estimators -----------------------------------------------------------
+
+
+def grad_est1(tape: Tape, params, paths: PathBatch, targets, *,
+              batch_count: int = 32, n_threads: int = 1) -> GradientEstimate:
+    """Two-pass estimator with fixed residual seeds Ey_i - C_i.
+
+    Pass one replays every path forward and keeps only the running sum of
+    the outputs; pass two replays the forward values again for the reverse
+    sweep, so f_evals = 2 N and r_evals = N.
+    """
+    return _estimate(1, tape, params, paths, targets, batch_count, n_threads)
+
+
 def grad_est2(tape: Tape, params, paths: PathBatch, targets, *,
               batch_count: int = 32, n_threads: int = 1) -> GradientEstimate:
     """Single-pass estimator seeded with the previous path's residuals."""
-    return _grad_lagged(2, tape, params, paths, targets, batch_count, n_threads)
+    return _estimate(2, tape, params, paths, targets, batch_count, n_threads)
 
 
 def grad_est3(tape: Tape, params, paths: PathBatch, targets, *,
               batch_count: int = 32, n_threads: int = 1) -> GradientEstimate:
     """Single-pass estimator seeded with running-mean residuals."""
-    return _grad_lagged(3, tape, params, paths, targets, batch_count, n_threads)
-
-
-# -- width-c chunk-lag variants ----------------------------------------------
+    return _estimate(3, tape, params, paths, targets, batch_count, n_threads)
 
 
 def grad_est_batched(algorithm: int, tape: Tape, params, paths: PathBatch,
@@ -400,13 +388,10 @@ def grad_est_batched(algorithm: int, tape: Tape, params, paths: PathBatch,
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    if algorithm == 1:
-        return _grad_two_pass(tape, params, paths, targets, False,
-                              batch_count, 1)
-    if algorithm in (2, 3):
-        return _grad_lagged(algorithm, tape, params, paths, targets,
-                            batch_count, 1, lag=width)
-    raise ValueError(f"unknown algorithm {algorithm}")
+    if algorithm not in (1, 2, 3):
+        raise ValueError(f"unknown algorithm {algorithm}")
+    return _estimate(algorithm, tape, params, paths, targets, batch_count, 1,
+                     lag=width)
 
 
 @dataclass

@@ -1,12 +1,12 @@
 """Minimal L-BFGS minimizer and the volatility-curve calibration driver.
 
 The minimizer is the standard two-loop recursion with a backtracking
-Armijo line search (optional Wolfe curvature check) and an optional
-elementwise lower bound enforced by projection.  The calibration driver
-feeds it stochastic gradients from one of the Monte-Carlo adjoint
-estimators; the path set is regenerated from (seed, iteration) at the
-start of every iteration and frozen while that iteration's line search
-runs, so each line search sees a coherent objective.
+Armijo line search and an optional elementwise lower bound enforced by
+projection.  The calibration driver feeds it stochastic gradients from one
+of the Monte-Carlo adjoint estimators; the path set is regenerated from
+(seed, iteration) at the start of every iteration and frozen while that
+iteration's line search runs, so each line search sees a coherent
+objective.
 """
 
 from __future__ import annotations
@@ -41,15 +41,13 @@ class LbfgsConfig:
     max_iter: int = 100
     grad_norm_tol: float = 1e-8
     armijo_c1: float = 1e-4
-    wolfe_c2: float = 0.9
     max_backtracks: int = 20
-    wolfe_check: bool = False
     param_floor: float | None = None
     max_step: float | None = None   # cap on the per-iteration step, inf-norm
 
     def __post_init__(self):
-        if not 0 < self.armijo_c1 < self.wolfe_c2 < 1:
-            raise ValueError("need 0 < armijo_c1 < wolfe_c2 < 1")
+        if not 0 < self.armijo_c1 < 1:
+            raise ValueError("need 0 < armijo_c1 < 1")
         if self.memory < 1:
             raise ValueError("memory must be >= 1")
         if self.max_step is not None and self.max_step <= 0:
@@ -182,31 +180,21 @@ def lbfgs_minimize(fg, x0, config: LbfgsConfig = None, *, value_fn=None,
                 d *= config.max_step / longest
                 slope = float(g @ d)
 
-        # backtracking Armijo (optionally also Wolfe curvature)
+        # backtracking Armijo line search on value-only probes
         t = 1.0
-        accepted = False
-        x_new = f_new = g_new = None
+        x_new = None
         for _ in range(config.max_backtracks + 1):
             x_try = _project(x + t * d, config.param_floor)
-            if config.wolfe_check:
-                f_try, g_try = eval_fg(x_try)
-            else:
-                f_try, g_try = eval_value(x_try), None
-            armijo = np.isfinite(f_try) and f_try <= f + config.armijo_c1 * t * slope
-            if armijo and config.wolfe_check:
-                if g_try @ (x_try - x) < config.wolfe_c2 * t * slope:
-                    armijo = False  # curvature too steep; shorten further
-            if armijo:
-                accepted = True
-                x_new, f_new, g_new = x_try, f_try, g_try
+            f_try = eval_value(x_try)
+            if np.isfinite(f_try) and f_try <= f + config.armijo_c1 * t * slope:
+                x_new = x_try
                 break
             t *= 0.5
-        if not accepted:
+        if x_new is None:
             trace.status = "line_search_failure"
             break
 
-        if g_new is None:
-            f_new, g_new = eval_fg(x_new)
+        f_new, g_new = eval_fg(x_new)
         if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
             trace.status = "non_finite_abort"
             break

@@ -60,9 +60,14 @@ def _raw_words(seed: int, generator_id: str, start: int, count: int) -> np.ndarr
 
 
 def _normals_from_words(words: np.ndarray) -> np.ndarray:
-    # 53-bit fixed point mapped to the open interval (0, 1): ndtri stays finite
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
-    return ndtri(u)
+    # 53-bit fixed point mapped to the open interval (0, 1): ndtri stays
+    # finite.  In place after the one cast (the words are overwritten), so
+    # the peak is the words plus one float array.
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
+    u += 0.5
+    u *= _INV_2_53
+    return ndtri(u, out=u)
 
 
 def generate(seed: int, n_paths: int, n_inputs: int,

@@ -96,8 +96,9 @@ class TestLbfgs:
         assert steps.max() <= 1.0 + 1e-12
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LbfgsConfig(armijo_c1=0.95, wolfe_c2=0.9)
+        for c1 in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                LbfgsConfig(armijo_c1=c1)
         with pytest.raises(ValueError):
             LbfgsConfig(memory=0)
         with pytest.raises(ValueError):

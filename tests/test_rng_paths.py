@@ -1,5 +1,7 @@
 """Path generation: determinism, addressability and sample quality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,16 @@ class TestGenerate:
         for col in batch.draws.T:
             assert abs(col.mean()) < bound
             assert 1 - 5.0 / np.sqrt(n) < col.var() < 1 + 5.0 / np.sqrt(n)
+
+    def test_peak_memory_bounded_by_draws(self):
+        # the raw words and one float array: twice the draws, not three times
+        tracemalloc.start()
+        try:
+            batch = rng.generate(4, 10**5, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * batch.draws.nbytes
 
     def test_lag1_autocorrelation_small(self):
         n = 10**5
