@@ -9,8 +9,7 @@ Subcommands::
 
 All numeric output is CSV (plotting is left to external tools) plus a
 human-readable table on stdout.  Every estimate is reproducible from
---seed, whatever the thread count.  Flag values beat config-file values,
-which beat the defaults.
+--seed.  Flag values beat config-file values, which beat the defaults.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ class RunConfig:
     n_mc_list: list = field(default_factory=lambda: [100_000, 1_000_000])
     seed: int = 42
     batch_width: int = 8
-    threads: int = 1
     out_dir: str = "out"
     repeats: int = 3
     max_iter: int = 40
@@ -59,6 +57,8 @@ class RunConfig:
             raise ValueError("every N_mc must be >= 2")
         if not set(self.algorithms) <= {1, 2, 3}:
             raise ValueError("algorithms must be a subset of {1,2,3}")
+        if self.batch_width < 1:
+            raise ValueError(f"batch width must be >= 1, got {self.batch_width}")
 
     def load_market(self):
         if self.spec_path is None:
@@ -74,11 +74,9 @@ class RunConfig:
 def _timed_estimate(cfg: RunConfig, alg, tape, vols, paths, targets):
     """Median-of-repeats wall time; the estimate itself is seed-determined."""
     times = []
-    estimate = None
     for _ in range(max(1, cfg.repeats)):
         t0 = time.perf_counter()
-        estimate = opt._ESTIMATORS[alg](tape, vols, paths, targets,
-                                        n_threads=cfg.threads)
+        estimate = opt._ESTIMATORS[alg](tape, vols, paths, targets)
         times.append(time.perf_counter() - t0)
     return estimate, statistics.median(times) * 1e6  # microseconds
 
@@ -173,8 +171,7 @@ def cmd_calibrate(cfg: RunConfig):
     for alg in cfg.algorithms:
         for n_mc in cfg.n_mc_list:
             fitted, trace = opt.calibrate(spec, curve, alg, n_mc, cfg.seed,
-                                          config, generator_id=cfg.generator_id,
-                                          n_threads=cfg.threads)
+                                          config, generator_id=cfg.generator_id)
             path = out / f"calibrate_alg{alg}_nmc{n_mc}.csv"
             opt.write_trace_csv(path, trace)
             written.append(path)
@@ -227,7 +224,6 @@ _KEYS = {
     "nmc": ("n_mc_list", _parse_int_list),
     "seed": ("seed", int),
     "batch_width": ("batch_width", int),
-    "threads": ("threads", int),
     "out": ("out_dir", str),
     "repeats": ("repeats", int),
     "max_iter": ("max_iter", int),
@@ -255,7 +251,6 @@ def _build_parser():
         p.add_argument("--seed", type=int, help="base RNG seed (64-bit)")
         p.add_argument("--batch-width", type=int, dest="batch_width",
                        help="lane count c that measure-speedup measures")
-        p.add_argument("--threads", type=int, help="estimator worker threads")
         p.add_argument("--out", help="output directory for CSV files")
         p.add_argument("--repeats", type=int, help="timing repetitions per row")
         p.add_argument("--generator", help="rng id: philox or pcg64")

@@ -27,17 +27,15 @@ gradient, estimates the per-coordinate variance of the estimator from the
 same rows, and carries exact scalar-equivalent forward/reverse evaluation
 counts that are checked against their closed forms on every run.
 
-Paths are processed in blocks of about ``BLOCK_PATHS`` with lane-wise
-vectorized replay; running sums are taken in path order, so with the lane
-determinism of the engine the result is independent of the blocking and
-of the worker-thread count.
+Paths are processed one block of about ``BLOCK_PATHS`` at a time, in path
+order, with lane-wise vectorized replay; running sums are taken in path
+order, so with the lane determinism of the engine the result is
+independent of the blocking.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +61,7 @@ __all__ = [
 # the default fixture's 75 nodes, 0.66 MB) small
 BLOCK_PATHS = 2048
 # rows per chunk of algorithm 1's variance reduction; fixed, so that the
-# variance does not depend on the blocking or the thread count
+# variance does not depend on the blocking
 _VAR_ROWS = 4096
 
 
@@ -155,25 +153,6 @@ def _block_ranges(n_paths: int, lag: int):
     return [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
-def _map_blocks(fn, jobs, pool) -> None:
-    """Run fn over jobs, in the thread pool if there is one."""
-    if pool is None or len(jobs) <= 1:
-        for job in jobs:
-            fn(job)
-    else:
-        list(pool.map(fn, jobs))
-
-
-def _merge_counters(parts) -> ReplayCounters:
-    total = ReplayCounters()
-    for c in parts:
-        total.f_evals += c.f_evals
-        total.r_evals += c.r_evals
-        total.f_batch_calls += c.f_batch_calls
-        total.r_batch_calls += c.r_batch_calls
-    return total
-
-
 def _check_inputs(tape: Tape, params, paths: PathBatch, targets) -> tuple:
     params = np.asarray(params, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -197,55 +176,30 @@ def _check_counts(counters: ReplayCounters, f_expected: int, r_expected: int) ->
         )
 
 
-def _sweep(tape: Tape, params, paths: PathBatch, ranges, n_threads: int,
-           seed, terms=None, lag: int = 0) -> ReplayCounters:
-    """Replay the blocks of ``ranges`` and return the evaluation counts.
+def _sweep(tape: Tape, params, paths: PathBatch, ranges,
+           counters: ReplayCounters, seed, terms=None, lag: int = 0) -> None:
+    """Replay the blocks of ``ranges`` in path order, counting into ``counters``.
 
-    A window of ``n_threads`` blocks is forwarded into reused slot buffers.
-    ``seed(lo, hi, y_blk)`` is then called for each block in path order and
+    Each block is forwarded into one reused buffer.  ``seed(lo, hi, y_blk)``
     returns the reverse seeds of paths [max(lo, lag), hi), or None for a
     forward-only block.  The seeded lanes are reversed into ``terms``, whose
     row r belongs to path r + lag.
     """
-    counters = [ReplayCounters() for _ in ranges]
-    window = max(1, n_threads)
-    # one reused buffer per block of a window: a buffer freed after each
-    # block lets malloc return its pages, and every block faults them back
-    # in (algorithm 1 ran 2.5x slower on a 2-vCPU Xeon VM)
-    slots = [tape.alloc_buffer(ranges[0][1])
-             for _ in range(min(window, len(ranges)))]
-    with (ThreadPoolExecutor(window) if window > 1 else nullcontext()) as pool:
-        for w_start in range(0, len(ranges), window):
-            idxs = range(w_start, min(w_start + window, len(ranges)))
-            fwd_out: dict = {}
-
-            def fwd(i):
-                lo, hi = ranges[i]
-                fwd_out[i] = tape.replay_forward(
-                    params, paths.draws[lo:hi],
-                    buffer=slots[i - w_start][:, : hi - lo],
-                    counters=counters[i])
-
-            _map_blocks(fwd, idxs, pool)
-
-            jobs = []
-            for i in idxs:
-                lo, hi = ranges[i]
-                y_blk, buf = fwd_out[i]
-                seeds = seed(lo, hi, y_blk)
-                if seeds is not None:
-                    skip = lag if lo == 0 else 0  # paths 0..lag-1 seed nothing
-                    # buffer lanes line up with seed rows
-                    jobs.append((i, buf[:, skip:], seeds, lo + skip - lag))
-
-            def rev(job):
-                i, sweep_buf, seeds, row_lo = job
-                out = tape.replay_reverse(sweep_buf, seeds,
-                                          counters=counters[i])
-                terms[row_lo: row_lo + len(seeds)] = out
-
-            _map_blocks(rev, jobs, pool)
-    return _merge_counters(counters)
+    # a buffer freed after each block lets malloc return its pages, and every
+    # block faults them back in (algorithm 1 ran 2.5x slower on a 2-vCPU Xeon
+    # VM)
+    buffer = tape.alloc_buffer(ranges[0][1])
+    for lo, hi in ranges:
+        y_blk, buf = tape.replay_forward(params, paths.draws[lo:hi],
+                                         buffer=buffer[:, : hi - lo],
+                                         counters=counters)
+        seeds = seed(lo, hi, y_blk)
+        if seeds is not None:
+            skip = lag if lo == 0 else 0  # paths 0..lag-1 seed nothing
+            # buffer lanes line up with seed rows
+            row = lo + skip - lag
+            terms[row: row + len(seeds)] = tape.replay_reverse(
+                buf[:, skip:], seeds, counters=counters)
 
 
 def _lagged_seeds(algorithm: int, lag: int, targets, size: int):
@@ -298,6 +252,9 @@ def _lagged_seeds(algorithm: int, lag: int, targets, size: int):
 def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
               batch_count: int, n_threads: int, lag: int = 1) -> GradientEstimate:
     """Run algorithm 1, 2 or 3 on the block engine (algorithm 1 ignores lag)."""
+    # grad_est1/2/3 keep n_threads for old callers; the sweep is serial
+    if n_threads != 1:
+        raise ValueError(f"n_threads must be 1, got {n_threads}")
     t0 = time.perf_counter()
     params, targets = _check_inputs(tape, params, paths, targets)
     n = paths.n_paths
@@ -313,7 +270,7 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
     ranges = _block_ranges(n, max(1, lag))
     size = ranges[0][1]
     terms = np.empty((n - lag, tape.n_params), dtype=np.float64)
-    passes = []
+    counters = ReplayCounters()
     if algorithm == 1:
         # pass one keeps the running sum of the outputs as row 0 of a stack
         # over each block, so rows add in path order, as y.mean(axis=0) adds
@@ -323,25 +280,22 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
             stack[1: hi - lo + 1] = y_blk
             stack[0] = stack[: hi - lo + 1].sum(axis=0)
 
-        passes.append(_sweep(tape, params, paths, ranges, n_threads,
-                             add_outputs))
+        _sweep(tape, params, paths, ranges, counters, add_outputs)
         lam = stack[0] / n - targets
 
         def seed(lo, hi, y_blk):
             return np.broadcast_to(lam, (hi - lo, tape.n_outputs))
     else:
         seed = _lagged_seeds(algorithm, lag, targets, size)
-    passes.append(_sweep(tape, params, paths, ranges, n_threads, seed,
-                         terms, lag))
+    _sweep(tape, params, paths, ranges, counters, seed, terms, lag)
 
-    total = _merge_counters(passes)
-    _check_counts(total, 2 * n if algorithm == 1 else n, n - lag)
+    _check_counts(counters, 2 * n if algorithm == 1 else n, n - lag)
     return GradientEstimate(
         grad=terms.mean(axis=0),
         variance=_variance_or_nan(terms, algorithm, batch_count),
         n_paths=n,
-        f_evals=total.f_evals,
-        r_evals=total.r_evals,
+        f_evals=counters.f_evals,
+        r_evals=counters.r_evals,
         algorithm=algorithm,
         millis=(time.perf_counter() - t0) * 1e3,
     )
@@ -421,6 +375,8 @@ def measure_correction_coefficients(tape: Tape, params, paths: PathBatch,
     lane-parallel replay would give 1.  Both are measured, never assumed; at
     width 1 the coefficients are 1 by definition and no timing is attempted.
     """
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     params = np.asarray(params, dtype=np.float64)
     if width == 1:
         return SpeedupReport(width=1, k_f=1.0, k_r=1.0,

@@ -293,34 +293,46 @@ def load_market_file(path) -> tuple[MarketSpec, VolCurve]:
         spot = 100.0
         option = <strike> <expiry_years> <observed_price>
         knot = <time_years> <vol>
+
+    Every value must be a finite number.  A bad entry raises ValueError
+    located as ``path:lineno``.
     """
+    arity = {"spot": 1, "option": 3, "knot": 2}
     spot = None
     options = []
-    knots = []
+    knots = {}  # time -> (vol, lineno)
     for lineno, key, value in read_key_values(path):
-        fields = value.split()
-        if key == "spot":
-            spot = float(fields[0])
-        elif key == "option":
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: option needs strike, expiry, price"
-                )
-            options.append(OptionQuote(*map(float, fields)))
-        elif key == "knot":
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: knot needs time, vol")
-            knots.append((float(fields[0]), float(fields[1])))
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key not in arity:
+                raise ValueError(f"unknown key {key!r}")
+            numbers = [float(v) for v in value.split()]
+            if len(numbers) != arity[key]:
+                raise ValueError(f"{key} needs {arity[key]} numbers, got {value!r}")
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError(f"{key} values must be finite, got {value!r}")
+            if key == "spot":
+                if spot is not None:
+                    raise ValueError(f"spot repeats line {spot_line}")
+                if numbers[0] <= 0:
+                    raise ValueError("spot must be > 0")
+                spot, spot_line = numbers[0], lineno
+            elif key == "option":
+                options.append(OptionQuote(*numbers))
+            elif numbers[0] in knots:
+                raise ValueError(f"knot time {numbers[0]!r} repeats line "
+                                 f"{knots[numbers[0]][1]}")
+            else:  # a one-knot curve checks the vol
+                knots[numbers[0]] = VolCurve(*numbers).knot_vols[0], lineno
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if spot is None:
         raise ValueError(f"{path}: missing 'spot'")
     if not options:
         raise ValueError(f"{path}: no option lines")
     if not knots:
         raise ValueError(f"{path}: no knot lines")
-    knots.sort()
-    curve = VolCurve([t for t, _ in knots], [v for _, v in knots])
+    times = sorted(knots)
+    curve = VolCurve(times, [knots[t][0] for t in times])
     return MarketSpec(spot=spot, options=tuple(options)), curve
 
 

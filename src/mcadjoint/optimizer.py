@@ -231,8 +231,7 @@ def _step_seed(seed: int, iteration: int) -> int:
 
 def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
               n_mc: int, seed: int, config: LbfgsConfig = None, *,
-              generator_id: str = "philox", n_threads: int = 1,
-              batch_count: int = 32):
+              generator_id: str = "philox"):
     """Fit the knot vols to the observed prices with a chosen estimator.
 
     Each iteration draws a fresh path set from (seed, iteration), evaluates
@@ -273,13 +272,10 @@ def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
         return lv.g
 
     def fg(x):
-        lv = mdl.loss(spec, curve0.with_vols(x), state["paths"])
-        cost.f_evals += n_mc
-        g_est = grad_fn(tape, x, state["paths"], targets,
-                        batch_count=batch_count, n_threads=n_threads)
+        g_est = grad_fn(tape, x, state["paths"], targets)
         cost.f_evals += g_est.f_evals
         cost.r_evals += g_est.r_evals
-        return lv.g, g_est.grad
+        return value_only(x), g_est.grad
 
     x_final, trace = lbfgs_minimize(fg, curve0.knot_vols, config,
                                     value_fn=value_only, cost_tracker=cost,

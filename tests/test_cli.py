@@ -19,7 +19,7 @@ def market_file(tmp_path):
 def run_config(tmp_path, market_file, **overrides):
     base = dict(subcommand="test", spec_path=str(market_file),
                 algorithms=[1, 2, 3], n_mc_list=[400, 900], seed=11,
-                batch_width=4, threads=1, out_dir=str(tmp_path / "out"),
+                batch_width=4, out_dir=str(tmp_path / "out"),
                 repeats=1, max_iter=3)
     base.update(overrides)
     return cli.RunConfig(**base)
@@ -158,6 +158,24 @@ class TestArgumentHandling:
     def test_invalid_algorithms_rejected(self):
         with pytest.raises(ValueError):
             cli.RunConfig(subcommand="gradient", algorithms=[4])
+
+    @pytest.mark.parametrize("width", ["0", "-3"])
+    def test_batch_width_below_one_rejected(self, width, capsys):
+        with pytest.raises(ValueError, match="batch width must be >= 1"):
+            cli.RunConfig(subcommand="measure-speedup", batch_width=int(width))
+        rc = cli.main(["measure-speedup", "--batch-width", width])
+        assert rc == 1
+        assert "batch width must be >= 1" in capsys.readouterr().err
+
+    def test_threads_option_gone(self, tmp_path, capsys):
+        conf = tmp_path / "run.cfg"
+        conf.write_text("threads = 2\n")
+        args = cli._build_parser().parse_args(["gradient", "--config", str(conf)])
+        with pytest.raises(ValueError, match="unknown config key 'threads'"):
+            cli._resolve(args)
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(["gradient", "--threads", "2"])
+        assert "--threads" in capsys.readouterr().err
 
     def test_main_smoke(self, tmp_path, market_file, capsys):
         rc = cli.main(["gradient", "--spec", str(market_file),

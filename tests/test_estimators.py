@@ -348,18 +348,31 @@ class TestBlocking:
             assert (a.grad == b.grad).all() and (a.variance == b.variance).all()
 
 
-class TestThreading:
-    def test_thread_count_does_not_change_results(self):
+class TestSerialSweep:
+    def test_more_than_one_thread_rejected(self):
         spec, curve, tape = fixture_tape()
-        paths = generate(17, est.BLOCK_PATHS * 2 + 321, 5)
+        paths = generate(17, 64, 5)
         for fn in (est.grad_est1, est.grad_est2, est.grad_est3):
-            serial = fn(tape, curve.knot_vols, paths, spec.prices, n_threads=1)
-            for n_threads in (2, 4):  # multi-window and single-window paths
-                threaded = fn(tape, curve.knot_vols, paths, spec.prices,
-                              n_threads=n_threads)
-                assert (serial.grad == threaded.grad).all()
-                assert (serial.variance == threaded.variance).all()
-                assert serial.f_evals == threaded.f_evals
+            assert fn(tape, curve.knot_vols, paths, spec.prices,
+                      n_threads=1).n_paths == 64
+            with pytest.raises(ValueError, match="n_threads must be 1"):
+                fn(tape, curve.knot_vols, paths, spec.prices, n_threads=2)
+
+    def test_accounting_guard_fires(self, monkeypatch):
+        # reverse sweeps that stop counting must fail the run, not return
+        # an estimate with wrong costs
+        spec, curve, tape = fixture_tape()
+        paths = generate(17, est.BLOCK_PATHS + 321, 5)
+        counted = tp.Tape.replay_reverse
+
+        def uncounted(self, buffer, seeds, *, counters=None):
+            return counted(self, buffer, seeds)
+
+        monkeypatch.setattr(tp.Tape, "replay_reverse", uncounted)
+        for fn in (est.grad_est1, est.grad_est2, est.grad_est3):
+            with pytest.raises(AssertionError,
+                               match="evaluation accounting drifted"):
+                fn(tape, curve.knot_vols, paths, spec.prices)
 
 
 class TestSpeedupMeasurement:
@@ -379,3 +392,11 @@ class TestSpeedupMeasurement:
         assert np.isfinite(report.k_f) and report.k_f > 0
         assert np.isfinite(report.k_r) and report.k_r > 0
         assert len(report.k_f_runs) == 2
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_width_below_one_rejected(self, width):
+        spec, curve, tape = fixture_tape()
+        paths = generate(19, 64, 5)
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            est.measure_correction_coefficients(tape, curve.knot_vols, paths,
+                                                width=width)

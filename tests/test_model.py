@@ -6,6 +6,7 @@ are validated against the closed form.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,30 @@ class TestMarketFile:
         path = tmp_path / "bad.cfg"
         path.write_text("spot = 100\nknot 1.0 0.2\n")
         with pytest.raises(ValueError, match="bad.cfg:2"):
+            mdl.load_market_file(path)
+
+    @pytest.mark.parametrize("entry", [
+        "spot =",                # no number
+        "spot = abc",            # not a number
+        "spot = 100 7",          # one number too many
+        "spot = -5",             # not positive
+        "spot = 100\nspot = 99", # a second spot
+        "option = -100 1 8",     # negative strike
+        "option = 100 1 nan",    # non-finite price
+        "option = 100 inf 8",    # non-finite expiry
+        "knot = nan 0.4",        # non-finite time
+        "knot = 1 inf",          # non-finite vol
+        "knot = 2 0",            # vol not positive
+        "knot = 1 0.3",          # repeats the time of line 2
+    ])
+    def test_bad_entries_raise_located_errors(self, tmp_path, entry):
+        # the last line of entry is the bad one; a spot follows unless
+        # entry has one
+        path = tmp_path / "bad.cfg"
+        spot = "" if "spot" in entry else "spot = 100\n"
+        path.write_text(f"option = 100 1 8\nknot = 1 0.2\n{entry}\n{spot}")
+        bad_line = 2 + len(entry.splitlines())
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{bad_line}: ")):
             mdl.load_market_file(path)
 
     def test_missing_sections(self, tmp_path):
