@@ -1,8 +1,9 @@
 """Record a payoff program once, replay it anywhere, sweep it backwards.
 
 The tape is the workhorse of the whole library: a forward program is
-traced into a flat operation list, and the same recording serves scalar
-evaluation, replay over blocks of input rows, and weighted reverse sweeps.
+traced into a flat operation list, and the same recording serves replay
+over blocks of input rows and weighted reverse sweeps.  Scalar evaluation
+is a one-lane block replay.
 """
 
 import numpy as np
@@ -61,4 +62,4 @@ print("reverse block == scalar, lane by lane:", bool((adjoints == scalar).all())
 counters = tp.ReplayCounters()
 tape.replay_forward(params, block, counters=counters)
 print(f"one block replay counted as {counters.f_evals} scalar-equivalent "
-      f"forwards in {counters.f_batch_calls} call")
+      "forwards")

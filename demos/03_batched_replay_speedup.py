@@ -9,6 +9,9 @@ measured coefficients:
 
 A perfectly parallel replay would score 1; the coefficients are measured,
 never assumed (they depend entirely on the machine and the replay engine).
+Scalar replay is a one-lane block replay, so one loop times both: forward
+then reverse replays over consecutive c-row slices through one reused
+buffer, at c = 1 on the first 256 paths and at width c on all of them.
 """
 
 import numpy as np

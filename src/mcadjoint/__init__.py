@@ -31,12 +31,11 @@ from .model import (
 )
 from .optimizer import CalibrationTrace, LbfgsConfig, calibrate, lbfgs_minimize
 from .rng_paths import PathBatch, generate
-from .tape import AdjointSeed, ReplayCounters, Tape, record
+from .tape import ReplayCounters, Tape, record
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointSeed",
     "CalibrationTrace",
     "GradientEstimate",
     "LbfgsConfig",

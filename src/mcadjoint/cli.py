@@ -59,6 +59,9 @@ class RunConfig:
             raise ValueError("algorithms must be a subset of {1,2,3}")
         if self.batch_width < 1:
             raise ValueError(f"batch width must be >= 1, got {self.batch_width}")
+        if self.generator_id not in rng.GENERATOR_IDS:
+            raise ValueError(f"unknown generator {self.generator_id!r}; "
+                             f"choose from {rng.GENERATOR_IDS}")
 
     def load_market(self):
         if self.spec_path is None:
@@ -216,19 +219,29 @@ def _parse_int_list(text):
     return [int(float(tok)) for tok in str(text).split(",") if tok.strip()]
 
 
-# config-file key / flag dest -> (RunConfig field, parser); RunConfig
-# holds the defaults
-_KEYS = {
-    "spec": ("spec_path", str),
-    "alg": ("algorithms", _parse_int_list),
-    "nmc": ("n_mc_list", _parse_int_list),
-    "seed": ("seed", int),
-    "batch_width": ("batch_width", int),
-    "out": ("out_dir", str),
-    "repeats": ("repeats", int),
-    "max_iter": ("max_iter", int),
-    "generator": ("generator_id", str),
+# config key -> (RunConfig field, parser, help, subcommands taking the flag
+# or None for all); the flag is --key with dashes, RunConfig holds the
+# defaults
+_OPTIONS = {
+    "spec": ("spec_path", str,
+             "market spec file (default: built-in fixture)", None),
+    "alg": ("algorithms", _parse_int_list,
+            "comma-separated algorithms, e.g. 1,2,3", None),
+    "nmc": ("n_mc_list", _parse_int_list,
+            "comma-separated path counts, e.g. 1e5,1e6", None),
+    "seed": ("seed", int, "base RNG seed (64-bit)", None),
+    "batch_width": ("batch_width", int,
+                    "lane count c that measure-speedup measures", None),
+    "out": ("out_dir", str, "output directory for CSV files", None),
+    "repeats": ("repeats", int, "timing repetitions per row", None),
+    "generator": ("generator_id", str, "rng id: philox or pcg64", None),
+    "max_iter": ("max_iter", int, "optimizer iteration budget",
+                 ("calibrate",)),
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _build_parser():
@@ -245,36 +258,38 @@ def _build_parser():
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value file; flags override it")
-        p.add_argument("--spec", help="market spec file (default: built-in fixture)")
-        p.add_argument("--alg", help="comma-separated algorithms, e.g. 1,2,3")
-        p.add_argument("--nmc", help="comma-separated path counts, e.g. 1e5,1e6")
-        p.add_argument("--seed", type=int, help="base RNG seed (64-bit)")
-        p.add_argument("--batch-width", type=int, dest="batch_width",
-                       help="lane count c that measure-speedup measures")
-        p.add_argument("--out", help="output directory for CSV files")
-        p.add_argument("--repeats", type=int, help="timing repetitions per row")
-        p.add_argument("--generator", help="rng id: philox or pcg64")
-        if name == "calibrate":
-            p.add_argument("--max-iter", type=int, dest="max_iter",
-                           help="optimizer iteration budget")
+        for key, (_, _, help_text, commands) in _OPTIONS.items():
+            if commands is None or name in commands:
+                p.add_argument(_flag(key), dest=key, help=help_text)
     return parser
 
 
 def _resolve(args) -> RunConfig:
+    """RunConfig from the flags, then the config file, then the defaults.
+
+    A bad value raises ValueError naming its flag or its ``path:line`` and
+    key.
+    """
     given = {}
-    if getattr(args, "config", None):
-        for _, key, value in mdl.read_key_values(args.config):
+    if args.config:
+        for lineno, key, value in mdl.read_key_values(args.config):
             key = key.replace("-", "_")
-            if key not in _KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            given[key] = value
-    for key in _KEYS:
+            if key not in _OPTIONS:
+                raise ValueError(
+                    f"{args.config}:{lineno}: unknown config key {key!r}")
+            given[key] = (value, f"{args.config}:{lineno}: {key}")
+    for key in _OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
-            given[key] = flag
-    fields = {_KEYS[key][0]: _KEYS[key][1](value)
-              for key, value in given.items()}
-    return RunConfig(subcommand=args.subcommand, **fields)
+            given[key] = (flag, _flag(key))
+    values = {}
+    for key, (text, source) in given.items():
+        name, parse = _OPTIONS[key][:2]
+        try:
+            values[name] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+    return RunConfig(subcommand=args.subcommand, **values)
 
 
 _COMMANDS = {

@@ -63,6 +63,8 @@ BLOCK_PATHS = 2048
 # rows per chunk of algorithm 1's variance reduction; fixed, so that the
 # variance does not depend on the blocking
 _VAR_ROWS = 4096
+# paths replayed one lane at a time for the scalar baseline of K_F/K_R
+_SCALAR_PATHS = 256
 
 
 @dataclass
@@ -92,9 +94,11 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
     Algorithm 1 terms are i.i.d., so the variance of their mean is the
     sample variance over the term count.  Algorithms 2 and 3 carry lag-1
     dependence between consecutive terms; a non-overlapping batch-means
-    estimate absorbs it.
+    estimate absorbs it.  A 1-D input is one column of terms.
     """
-    terms = np.atleast_2d(np.asarray(per_path_terms, dtype=np.float64))
+    terms = np.asarray(per_path_terms, dtype=np.float64)
+    if terms.ndim == 1:
+        terms = terms[:, None]
     n = terms.shape[0]
     if algorithm == 1:
         if n < 2:
@@ -365,15 +369,36 @@ class SpeedupReport:
     degenerate: bool = False
 
 
+def _replay_cost(tape: Tape, params, draws, width: int) -> tuple:
+    """Per-path forward and reverse seconds of ``width``-lane replays.
+
+    Each full ``width``-row slice of ``draws`` is replayed forward, then in
+    reverse, through one reused buffer.
+    """
+    buf = tape.alloc_buffer(width)
+    seeds = np.ones((width, tape.n_outputs))
+    n = len(draws) // width * width
+    t_f = t_r = 0.0
+    for lo in range(0, n, width):
+        t0 = time.perf_counter()
+        tape.replay_forward(params, draws[lo: lo + width], buffer=buf)
+        t1 = time.perf_counter()
+        tape.replay_reverse(buf, seeds)
+        t_f += t1 - t0
+        t_r += time.perf_counter() - t1
+    return t_f / n, t_r / n
+
+
 def measure_correction_coefficients(tape: Tape, params, paths: PathBatch,
-                                    width: int, *, repeats: int = 3,
-                                    scalar_sample: int = 256) -> SpeedupReport:
+                                    width: int, *,
+                                    repeats: int = 3) -> SpeedupReport:
     """Measure K_F and K_R: width * (batched per-path time) / (scalar per-path time).
 
-    Batched times come from ``replay_forward``/``replay_reverse`` on
-    consecutive ``width``-row slices of the draws.  A perfectly
-    lane-parallel replay would give 1.  Both are measured, never assumed; at
-    width 1 the coefficients are 1 by definition and no timing is attempted.
+    Scalar replay is a one-lane block replay, timed on the first 256 paths;
+    batched replay runs on consecutive ``width``-row slices of all the
+    draws.  A perfectly lane-parallel replay would give 1.  Both are
+    measured, never assumed; at width 1 the coefficients are 1 by
+    definition and no timing is attempted.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
@@ -383,43 +408,15 @@ def measure_correction_coefficients(tape: Tape, params, paths: PathBatch,
                              t_scalar_f_us=0.0, t_scalar_r_us=0.0,
                              t_batched_f_us=0.0, t_batched_r_us=0.0,
                              repeats=0, degenerate=True)
-
-    n_scalar = min(scalar_sample, paths.n_paths)
-    unit_seed = np.ones(tape.n_outputs)
-    full = [paths.draws[lo: lo + width]
-            for lo in range(0, paths.n_paths - width + 1, width)]
-    if not full:
+    if paths.n_paths < width:
         raise ValueError("need at least one full-width chunk to measure")
-    seeds = np.ones((width, tape.n_outputs))
 
     k_f_runs, k_r_runs = [], []
-    tf_s = tr_s = tf_v = tr_v = 0.0
     for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        for j in range(n_scalar):
-            tape.forward(params, paths.draws[j])
-        t1 = time.perf_counter()
-        for j in range(n_scalar):
-            tape.reverse(params, paths.draws[j], unit_seed)
-        t2 = time.perf_counter()
-        tf_s = (t1 - t0) / n_scalar
-        tr_s = (t2 - t1) / n_scalar - tf_s  # reverse() replays the forward
-
-        buf = tape.alloc_buffer(width)
-        t3 = time.perf_counter()
-        for block in full:
-            tape.replay_forward(params, block, buffer=buf)
-        t4 = time.perf_counter()
-        # the sweep's cost does not depend on which chunk filled the buffer
-        for _ in full:
-            tape.replay_reverse(buf, seeds)
-        t5 = time.perf_counter()
-        n_batched = len(full) * width
-        tf_v = (t4 - t3) / n_batched
-        tr_v = (t5 - t4) / n_batched
-
+        tf_s, tr_s = _replay_cost(tape, params, paths.draws[:_SCALAR_PATHS], 1)
+        tf_v, tr_v = _replay_cost(tape, params, paths.draws, width)
         k_f_runs.append(width * tf_v / tf_s)
-        k_r_runs.append(width * tr_v / max(tr_s, 1e-12))
+        k_r_runs.append(width * tr_v / tr_s)
 
     return SpeedupReport(
         width=width,

@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+def _check_finite(**fields) -> None:
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class VolCurve:
     """Piecewise-linear volatility curve over strictly increasing knot times."""
@@ -52,6 +58,7 @@ class VolCurve:
         v = np.atleast_1d(np.asarray(self.knot_vols, dtype=np.float64))
         if t.size < 1:
             raise ValueError("need at least one knot")
+        _check_finite(knot_times=t, knot_vols=v)
         if t.size != v.size:
             raise ValueError("knot_times and knot_vols must have equal length")
         if t.size > 1 and not np.all(np.diff(t) > 0):
@@ -76,6 +83,7 @@ class OptionQuote:
     price: float
 
     def __post_init__(self):
+        _check_finite(strike=self.strike, expiry=self.expiry, price=self.price)
         if self.strike < 0:
             raise ValueError("strike must be >= 0")
         if self.expiry <= 0:
@@ -92,6 +100,7 @@ class MarketSpec:
     options: tuple
 
     def __post_init__(self):
+        _check_finite(spot=self.spot)
         if self.spot <= 0:
             raise ValueError("spot must be > 0")
         opts = tuple(self.options)

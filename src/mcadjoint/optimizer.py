@@ -242,8 +242,8 @@ def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
     """
     if algorithm not in _ESTIMATORS:
         raise ValueError(f"algorithm must be 1, 2 or 3, got {algorithm}")
-    if algorithm in (2, 3) and n_mc < 2:
-        raise ValueError(f"algorithm {algorithm} needs n_mc >= 2")
+    if n_mc < 2:
+        raise ValueError(f"n_mc must be >= 2 paths per iteration, got {n_mc}")
     config = config or LbfgsConfig(max_iter=40, grad_norm_tol=1e-3,
                                    param_floor=1e-4, max_step=0.1)
     overrides = {}

@@ -21,10 +21,10 @@ Each tape is compiled once, when it is built, into static schedules
   an adjoint's storage once its node has been swept.
 
 The replay engine operates on numpy arrays of shape ``(n_lanes,)`` per tape
-node, so a "scalar" replay is simply a one-lane batch.  Elementwise ufuncs
-in numpy are lane-deterministic, which is what makes batch and scalar
-replay, and a scalar read of a hoisted invariant, bit-identical lane by
-lane.
+node, so a scalar replay (``Tape.forward``/``Tape.reverse``) is a one-lane
+block replay through the same schedules.  Elementwise ufuncs in numpy are
+lane-deterministic, which is what makes batch and scalar replay, and a
+scalar read of a hoisted invariant, bit-identical lane by lane.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "Tape",
-    "AdjointSeed",
     "ReplayCounters",
     "TapeError",
     "UnsupportedPrimitiveError",
@@ -116,30 +115,11 @@ class NonFiniteError(TapeError):
 
 @dataclass
 class ReplayCounters:
-    """Caller-owned evaluation counters.
-
-    ``f_evals``/``r_evals`` count scalar-equivalent applications (one per
-    active lane); ``f_batch_calls``/``r_batch_calls`` count whole batched
-    replays regardless of width.
-    """
+    """Caller-owned evaluation counters: scalar-equivalent forward and
+    reverse applications, one per lane of each replay."""
 
     f_evals: int = 0
     r_evals: int = 0
-    f_batch_calls: int = 0
-    r_batch_calls: int = 0
-
-
-@dataclass(frozen=True)
-class AdjointSeed:
-    """Output weights for a reverse sweep: one lambda per tape output."""
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=np.float64)
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("adjoint seed entries must be finite")
-        object.__setattr__(self, "lambdas", lam)
 
 
 class TraceVar:
@@ -582,7 +562,9 @@ class Tape:
 
         Rows are the parameters and the lane-dependent nodes that reach an
         output (40 of the default fixture's 75 nodes), plus one per output
-        that does not depend on the inputs; not every node.
+        that does not depend on the inputs; not every node.  The last
+        ``n_outputs`` rows are the outputs in order, filled also when the
+        replay raises :class:`NonFiniteError`.
         """
         return np.empty((self._n_rows, n_lanes), dtype=np.float64)
 
@@ -594,8 +576,8 @@ class Tape:
             )
         return params
 
-    def replay_forward(self, params, inputs, *, buffer=None, counters=None,
-                       check_finite=True) -> tuple[np.ndarray, np.ndarray]:
+    def replay_forward(self, params, inputs, *, buffer=None,
+                       counters=None) -> tuple[np.ndarray, np.ndarray]:
         """Forward replay over an arbitrary block of input rows.
 
         ``inputs`` has shape (n_lanes, n_inputs).  Returns ``(outputs,
@@ -625,11 +607,10 @@ class Tape:
         with np.errstate(all="ignore"):
             _run(self._fwd, [*buffer, *entry[1]])
         outputs = buffer[self._out_rows].T.copy()
-        if check_finite and not np.all(np.isfinite(outputs)):
+        if not np.all(np.isfinite(outputs)):
             self._raise_non_finite(buffer, entry[2])
         if counters is not None:
             counters.f_evals += n_lanes
-            counters.f_batch_calls += 1
         return outputs, buffer
 
     def _raise_non_finite(self, buffer, inv):
@@ -672,7 +653,6 @@ class Tape:
                 self._reverse_sweep(buffer, seeds, entry, locate=True)
         if counters is not None:
             counters.r_evals += n_lanes
-            counters.r_batch_calls += 1
         return grads
 
     def _reverse_sweep(self, buffer, seeds, entry, locate=False) -> np.ndarray:
@@ -694,18 +674,23 @@ class Tape:
                     raise NonFiniteError(node, _OP_NAMES[self._prog[node][0]])
         return adj
 
-    # -- public single-set API ----------------------------------------------
+    # -- one input set: a one-lane replay ------------------------------------
 
-    def forward(self, params, inputs, *, counters=None) -> np.ndarray:
-        """Evaluate the recorded program on one input set. Pure."""
+    def _one_lane(self, inputs) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.shape != (self.n_inputs,):
             raise ValueError(
                 f"expected {self.n_inputs} inputs, got shape {inputs.shape}"
             )
-        outputs, buffer = self.replay_forward(
-            params, inputs[None, :], counters=counters, check_finite=False
-        )
+        return inputs[None, :]
+
+    def forward(self, params, inputs, *, counters=None) -> np.ndarray:
+        """Evaluate the recorded program on one input set. Pure.
+
+        A non-finite value at any live node raises, not only at an output.
+        """
+        outputs, buffer = self.replay_forward(params, self._one_lane(inputs),
+                                              counters=counters)
         # one-lane replay is cheap enough to locate any bad node exactly
         inv = self._invariants(self._check_params(params))[2]
         if not (np.all(np.isfinite(buffer)) and np.all(np.isfinite(inv))):
@@ -713,25 +698,19 @@ class Tape:
         return outputs[0]
 
     def reverse(self, params, inputs, seed, *, counters=None) -> np.ndarray:
-        """Weighted adjoints of one input set w.r.t. all parameters.
-
-        Runs a forward replay of the input set, then the reverse sweep.
-        """
-        lam = seed.lambdas if isinstance(seed, AdjointSeed) else np.asarray(seed, dtype=np.float64)
+        """Adjoints w.r.t. all parameters of one input set, weighted by
+        ``seed`` (one finite weight per output)."""
+        lam = np.asarray(seed, dtype=np.float64)
         if lam.shape != (self.n_outputs,):
             raise ValueError(
                 f"expected {self.n_outputs} seed weights, got shape {lam.shape}"
             )
         if not np.all(np.isfinite(lam)):
             raise ValueError("adjoint seed entries must be finite")
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.shape != (self.n_inputs,):
-            raise ValueError(
-                f"expected {self.n_inputs} inputs, got shape {inputs.shape}"
-            )
-        _, buffer = self.replay_forward(params, inputs[None, :],
+        _, buffer = self.replay_forward(params, self._one_lane(inputs),
                                         counters=counters)
         return self.replay_reverse(buffer, lam[None, :], counters=counters)[0]
+
 
 def record(program, n_params: int, n_inputs: int) -> Tape:
     """Trace ``program`` once and return the recorded tape.

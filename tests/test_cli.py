@@ -167,6 +167,27 @@ class TestArgumentHandling:
         assert rc == 1
         assert "batch width must be >= 1" in capsys.readouterr().err
 
+    def test_bad_config_value_located(self, tmp_path, capsys):
+        conf = tmp_path / "run.cfg"
+        conf.write_text("nmc = 600\nseed = abc\n")
+        rc = cli.main(["gradient", "--config", str(conf)])
+        assert rc == 1
+        assert f"{conf}:2: seed: invalid literal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--nmc", "1e5,abc"),
+                                             ("--seed", "abc"),
+                                             ("--batch-width", "2.5")])
+    def test_bad_flag_value_named(self, flag, value, capsys):
+        rc = cli.main(["measure-speedup", flag, value])
+        assert rc == 1
+        assert f"error: {flag}: " in capsys.readouterr().err
+
+    def test_unknown_generator_rejected(self, capsys):
+        with pytest.raises(ValueError, match="unknown generator 'mt19937'"):
+            cli.RunConfig(subcommand="gradient", generator_id="mt19937")
+        assert cli.main(["gradient", "--generator", "mt19937"]) == 1
+        assert "unknown generator" in capsys.readouterr().err
+
     def test_threads_option_gone(self, tmp_path, capsys):
         conf = tmp_path / "run.cfg"
         conf.write_text("threads = 2\n")

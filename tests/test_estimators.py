@@ -232,6 +232,14 @@ class TestVarianceEstimate:
         assert peak < 1e6  # the term matrix itself is 4 MB
         np.testing.assert_array_equal(terms, before)
 
+    def test_one_dimensional_terms_are_one_column(self):
+        terms = np.random.default_rng(5).standard_normal(1000)
+        for alg in (1, 2, 3):
+            v = est.estimate_variance(terms, alg)
+            assert v.shape == (1,) and np.isfinite(v).all()
+            np.testing.assert_array_equal(
+                v, est.estimate_variance(terms[:, None], alg))
+
     def test_too_few_paths_rejected(self):
         with pytest.raises(ValueError, match="batch"):
             est.estimate_variance(np.zeros((100, 1)), 2, batch_count=32)
@@ -392,6 +400,19 @@ class TestSpeedupMeasurement:
         assert np.isfinite(report.k_f) and report.k_f > 0
         assert np.isfinite(report.k_r) and report.k_r > 0
         assert len(report.k_f_runs) == 2
+
+    def test_width8_times_block_replays_only(self, monkeypatch):
+        spec, curve, tape = fixture_tape()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar replay is a one-lane block replay")
+
+        monkeypatch.setattr(tp.Tape, "forward", refuse)
+        monkeypatch.setattr(tp.Tape, "reverse", refuse)
+        report = est.measure_correction_coefficients(
+            tape, curve.knot_vols, generate(20, 512, 5), width=8, repeats=1)
+        for k in (report.k_f, report.k_r):
+            assert np.isfinite(k) and k > 0
 
     @pytest.mark.parametrize("width", [0, -3])
     def test_width_below_one_rejected(self, width):

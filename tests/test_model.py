@@ -60,6 +60,19 @@ class TestVolCurve:
             assert mdl.vol_at(curve, t) == pytest.approx(0.17)
 
 
+@pytest.mark.parametrize("name, build", [
+    ("strike", lambda: OptionQuote(math.nan, 1.0, 1.0)),
+    ("expiry", lambda: OptionQuote(100.0, math.inf, 1.0)),
+    ("price", lambda: OptionQuote(100.0, 1.0, -math.inf)),
+    ("spot", lambda: MarketSpec(math.nan, (OptionQuote(100.0, 1.0, 8.0),))),
+    ("knot_times", lambda: VolCurve([math.nan], [0.2])),
+    ("knot_vols", lambda: VolCurve([1.0], [math.inf])),
+], ids=["strike", "expiry", "price", "spot", "knot_times", "knot_vols"])
+def test_non_finite_field_rejected(name, build):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        build()
+
+
 class TestTerminalPrice:
     def test_zero_draw(self):
         curve = VolCurve([1.0], [0.2])

@@ -163,6 +163,12 @@ class TestCalibrate:
         assert trace.records[-1].f_evals % n_mc == 0
         assert trace.records[-1].f_evals > trace.records[-1].r_evals
 
+    @pytest.mark.parametrize("algorithm", [1, 2, 3])
+    def test_single_path_rejected(self, algorithm):
+        spec, curve = mdl.default_fixture()
+        with pytest.raises(ValueError, match="n_mc must be >= 2 paths"):
+            calibrate(spec, curve, algorithm, 1, seed=1)
+
     def test_algorithm_validation(self):
         spec, curve = mdl.default_fixture()
         with pytest.raises(ValueError, match="algorithm"):
