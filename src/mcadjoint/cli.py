@@ -19,7 +19,7 @@ import csv
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -168,8 +168,7 @@ def cmd_calibrate(cfg: RunConfig):
     """One calibration trace CSV per requested (algorithm, N_mc)."""
     spec, curve = cfg.load_market()
     out = cfg.ensure_out()
-    config = opt.LbfgsConfig(max_iter=cfg.max_iter, grad_norm_tol=1e-3,
-                             param_floor=1e-4)
+    config = replace(opt._CALIBRATION, max_iter=cfg.max_iter)
     written = []
     for alg in cfg.algorithms:
         for n_mc in cfg.n_mc_list:

@@ -93,8 +93,8 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
 
     Algorithm 1 terms are i.i.d., so the variance of their mean is the
     sample variance over the term count.  Algorithms 2 and 3 carry lag-1
-    dependence between consecutive terms; a non-overlapping batch-means
-    estimate absorbs it.  A 1-D input is one column of terms.
+    dependence between consecutive terms, which the means of ``batch_count``
+    >= 2 non-overlapping batches absorb.  A 1-D input is one column of terms.
     """
     terms = np.asarray(per_path_terms, dtype=np.float64)
     if terms.ndim == 1:
@@ -105,6 +105,7 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
             return np.full(terms.shape[1], np.nan)
         return _sum_sq_dev(terms) / (n - 1) / n
     if algorithm in (2, 3):
+        _check_batch_count(batch_count)
         if n < 16 * batch_count:
             raise ValueError(
                 f"too few paths for the batch count: {n} terms cannot fill "
@@ -117,6 +118,11 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
         means = np.einsum("bij->bj", batches) / size
         return means.var(axis=0, ddof=1) / batch_count
     raise ValueError(f"unknown algorithm {algorithm}")
+
+
+def _check_batch_count(batch_count: int) -> None:
+    if batch_count < 2:
+        raise ValueError(f"batch_count must be >= 2, got {batch_count}")
 
 
 def _sum_sq_dev(terms) -> np.ndarray:
@@ -164,6 +170,8 @@ def _check_inputs(tape: Tape, params, paths: PathBatch, targets) -> tuple:
         raise ValueError(
             f"expected {tape.n_outputs} targets, got shape {targets.shape}"
         )
+    if not np.all(np.isfinite(targets)):
+        raise ValueError(f"targets must be finite, got {targets}")
     if paths.n_inputs != tape.n_inputs:
         raise ValueError(
             f"path batch has {paths.n_inputs} inputs per path, tape expects "
@@ -185,9 +193,9 @@ def _sweep(tape: Tape, params, paths: PathBatch, ranges,
     """Replay the blocks of ``ranges`` in path order, counting into ``counters``.
 
     Each block is forwarded into one reused buffer.  ``seed(lo, hi, y_blk)``
-    returns the reverse seeds of paths [max(lo, lag), hi), or None for a
-    forward-only block.  The seeded lanes are reversed into ``terms``, whose
-    row r belongs to path r + lag.
+    returns the reverse seeds of the block's last paths (it alone decides how
+    many), or None for a forward-only block.  The seeded lanes are reversed
+    into ``terms``, whose row r belongs to path r + lag.
     """
     # a buffer freed after each block lets malloc return its pages, and every
     # block faults them back in (algorithm 1 ran 2.5x slower on a 2-vCPU Xeon
@@ -199,18 +207,16 @@ def _sweep(tape: Tape, params, paths: PathBatch, ranges,
                                          counters=counters)
         seeds = seed(lo, hi, y_blk)
         if seeds is not None:
-            skip = lag if lo == 0 else 0  # paths 0..lag-1 seed nothing
-            # buffer lanes line up with seed rows
-            row = lo + skip - lag
-            terms[row: row + len(seeds)] = tape.replay_reverse(
-                buf[:, skip:], seeds, counters=counters)
+            k = len(seeds)
+            terms[hi - k - lag: hi - lag] = tape.replay_reverse(
+                buf[:, hi - lo - k:], seeds, counters=counters)
 
 
 def _lagged_seeds(algorithm: int, lag: int, targets, size: int):
     """The per-block seeding step of algorithm 2 or 3 at lag ``lag``.
 
-    Path j is seeded from y_{j-lag} (algorithm 2) or from the mean over paths
-    [0, floor(j/lag) lag) (algorithm 3); calls must come in path order.
+    Path j >= lag is seeded from y_{j-lag} (algorithm 2) or from the mean over
+    paths [0, floor(j/lag) lag) (algorithm 3); calls must come in path order.
     """
     m = len(targets)
     # the targets repeated per path of a block: a same-shape subtract is
@@ -218,18 +224,18 @@ def _lagged_seeds(algorithm: int, lag: int, targets, size: int):
     target_rows = np.tile(targets, (size, 1))
     carry_y = np.empty((0, m))  # last lag outputs before the block
     carry_sum = np.zeros(m)     # sum of y over paths before the block
-    # 0, 1, 2, ... per row, offset per block into the lag-1 path counts: a
-    # same-shape divisor, like the targets
-    counts = np.tile(np.arange(size, dtype=np.float64)[:, None], (1, m))
+    # chunk starts 0, lag, 2 lag, ..., offset per block into the path counts
+    # before each chunk: a same-shape divisor, like the targets
+    counts = np.tile(np.arange(0, size, lag, dtype=np.float64)[:, None], (1, m))
     divisor = np.empty_like(counts)
 
     def seed(lo, hi, y_blk):
         nonlocal carry_y, carry_sum
-        skip = lag if lo == 0 else 0
         if algorithm == 2:
             ext = np.vstack([carry_y, y_blk])
-            seeds = ext[: len(ext) - lag] - target_rows[: len(ext) - lag]
             carry_y = ext[-lag:]
+            seeds = ext[:-lag]
+            seeds -= target_rows[: len(seeds)]
             return seeds
         # pre[k]: sum of y over paths [0, lo + k), summed in order; each
         # chunk of lag paths is seeded from the mean before it
@@ -238,14 +244,13 @@ def _lagged_seeds(algorithm: int, lag: int, targets, size: int):
         pre[1:] = y_blk
         np.cumsum(pre, axis=0, out=pre)
         carry_sum = pre[-1]
-        if lag == 1:
-            seeds = pre[skip:-1]
-            k = len(seeds)
-            np.add(counts[:k], lo + skip, out=divisor[:k])
-            seeds /= divisor[:k]
-        else:
-            starts = np.arange(skip, hi - lo, lag)
-            means = pre[skip: hi - lo: lag] / (lo + starts)[:, None]
+        skip = lag if lo == 0 else 0  # paths 0..lag-1 seed nothing
+        means = pre[skip: hi - lo: lag]
+        k = len(means)
+        np.add(counts[:k], lo + skip, out=divisor[:k])
+        means /= divisor[:k]
+        seeds = means
+        if lag > 1:
             seeds = np.repeat(means, lag, axis=0)[: hi - lo - skip]
         seeds -= target_rows[: len(seeds)]
         return seeds
@@ -266,11 +271,13 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
         if n < 1:
             raise ValueError("paths must be nonempty")
         lag = 0
-    elif n <= lag:
-        raise ValueError(
-            f"algorithm {algorithm} at width {lag} needs at least {lag + 1} "
-            "paths: each reverse sweep is seeded from an earlier path"
-        )
+    else:
+        _check_batch_count(batch_count)
+        if n <= lag:
+            raise ValueError(
+                f"algorithm {algorithm} at width {lag} needs at least {lag + 1} "
+                "paths: each reverse sweep is seeded from an earlier path"
+            )
     ranges = _block_ranges(n, max(1, lag))
     size = ranges[0][1]
     terms = np.empty((n - lag, tape.n_params), dtype=np.float64)

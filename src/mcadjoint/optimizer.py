@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,6 +52,14 @@ class LbfgsConfig:
             raise ValueError("memory must be >= 1")
         if self.max_step is not None and self.max_step <= 0:
             raise ValueError("max_step must be positive")
+
+
+# the settings of ``calibrate`` and the CLI's calibrate command.  A capped
+# step keeps iterates out of the near-zero-vol region, where out-of-the-money
+# payoffs (and their adjoints) vanish on almost every path and the sampled
+# gradient goes dead.
+_CALIBRATION = LbfgsConfig(max_iter=40, grad_norm_tol=1e-3, param_floor=1e-4,
+                           max_step=0.1)
 
 
 @dataclass
@@ -236,26 +244,18 @@ def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
 
     Each iteration draws a fresh path set from (seed, iteration), evaluates
     the Monte-Carlo loss and the algorithm's gradient estimate on it, and
-    keeps that set frozen for the whole line search.  Returns
-    ``(calibrated_curve, trace)``; the trace carries exact cumulative
-    path-level forward/reverse counts.
+    keeps that set frozen for the whole line search.  ``config`` defaults
+    to the module's ``_CALIBRATION`` settings, which also fill an unset
+    ``param_floor`` or ``max_step``.  Returns ``(calibrated_curve, trace)``;
+    the trace carries exact cumulative path-level forward/reverse counts.
     """
     if algorithm not in _ESTIMATORS:
         raise ValueError(f"algorithm must be 1, 2 or 3, got {algorithm}")
     if n_mc < 2:
         raise ValueError(f"n_mc must be >= 2 paths per iteration, got {n_mc}")
-    config = config or LbfgsConfig(max_iter=40, grad_norm_tol=1e-3,
-                                   param_floor=1e-4, max_step=0.1)
-    overrides = {}
-    if config.param_floor is None:
-        overrides["param_floor"] = 1e-4
-    if config.max_step is None:
-        # a capped step keeps iterates out of the near-zero-vol region,
-        # where out-of-the-money payoffs (and their adjoints) vanish on
-        # almost every path and the sampled gradient goes dead
-        overrides["max_step"] = 0.1
-    if overrides:
-        config = LbfgsConfig(**{**config.__dict__, **overrides})
+    config = config or _CALIBRATION
+    unset = [k for k in ("param_floor", "max_step") if getattr(config, k) is None]
+    config = replace(config, **{k: getattr(_CALIBRATION, k) for k in unset})
     tape = mdl.build_model_tape(spec, curve0)
     targets = spec.prices
     grad_fn = _ESTIMATORS[algorithm]

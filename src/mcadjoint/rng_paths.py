@@ -91,15 +91,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _check_stream(generator_id: str, n_inputs: int) -> None:
-    if generator_id not in _GENERATORS:
-        raise ValueError(
-            f"unknown generator_id {generator_id!r}; choose from {GENERATOR_IDS}"
-        )
-    if n_inputs < 1:
-        raise ValueError("n_inputs must be >= 1")
-
-
 def _raw_words(seed: int, generator_id: str, start: int, count: int) -> np.ndarray:
     """Raw 64-bit words [start, start+count) of the keyed counter stream."""
     cls, words_per_step = _GENERATORS[generator_id]
@@ -162,18 +153,14 @@ def generate(seed: int, n_paths: int, n_inputs: int,
              generator_id: str = "philox") -> PathBatch:
     """Materialize the full n_paths x n_inputs draw matrix. Deterministic.
 
-    The rows are filled in place in chunks, by the calling thread and the
-    workers of the generation pool; the bytes are the same for any number
-    of workers.
+    The draws are ``generate_rows`` over rows [0, n_paths).
     """
     if n_paths < 2:
         raise ValueError(
             "n_paths must be >= 2: the lagged estimators (algorithms 2 and 3) "
             "pair each path with its predecessor"
         )
-    _check_stream(generator_id, n_inputs)
-    draws = np.empty((n_paths, n_inputs))
-    _fill(draws, seed, generator_id, 0)
+    draws = generate_rows(seed, generator_id, 0, n_paths, n_inputs)
     return PathBatch(draws=draws, seed=int(seed), generator_id=generator_id)
 
 
@@ -181,13 +168,20 @@ def generate_rows(seed: int, generator_id: str, start: int, stop: int,
                   n_inputs: int) -> np.ndarray:
     """Rows [start, stop) of the draw matrix, without the preceding rows.
 
-    Bit-identical to ``generate(...).draws[start:stop]``.
+    Bit-identical to ``generate(...).draws[start:stop]``.  The rows are
+    filled in place in chunks, by the calling thread and the workers of the
+    generation pool; the bytes are the same for any number of workers.
     """
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
     if stop < start:
         raise ValueError(f"stop must be >= start, got stop={stop} < start={start}")
-    _check_stream(generator_id, n_inputs)
+    if generator_id not in _GENERATORS:
+        raise ValueError(
+            f"unknown generator_id {generator_id!r}; choose from {GENERATOR_IDS}"
+        )
+    if n_inputs < 1:
+        raise ValueError("n_inputs must be >= 1")
     rows = np.empty((stop - start, n_inputs))
     _fill(rows, seed, generator_id, start)
     return rows

@@ -684,20 +684,19 @@ class Tape:
             )
         return inputs[None, :]
 
-    def forward(self, params, inputs, *, counters=None) -> np.ndarray:
+    def forward(self, params, inputs) -> np.ndarray:
         """Evaluate the recorded program on one input set. Pure.
 
         A non-finite value at any live node raises, not only at an output.
         """
-        outputs, buffer = self.replay_forward(params, self._one_lane(inputs),
-                                              counters=counters)
+        outputs, buffer = self.replay_forward(params, self._one_lane(inputs))
         # one-lane replay is cheap enough to locate any bad node exactly
         inv = self._invariants(self._check_params(params))[2]
         if not (np.all(np.isfinite(buffer)) and np.all(np.isfinite(inv))):
             self._raise_non_finite(buffer, inv)
         return outputs[0]
 
-    def reverse(self, params, inputs, seed, *, counters=None) -> np.ndarray:
+    def reverse(self, params, inputs, seed) -> np.ndarray:
         """Adjoints w.r.t. all parameters of one input set, weighted by
         ``seed`` (one finite weight per output)."""
         lam = np.asarray(seed, dtype=np.float64)
@@ -707,9 +706,8 @@ class Tape:
             )
         if not np.all(np.isfinite(lam)):
             raise ValueError("adjoint seed entries must be finite")
-        _, buffer = self.replay_forward(params, self._one_lane(inputs),
-                                        counters=counters)
-        return self.replay_reverse(buffer, lam[None, :], counters=counters)[0]
+        _, buffer = self.replay_forward(params, self._one_lane(inputs))
+        return self.replay_reverse(buffer, lam[None, :])[0]
 
 
 def record(program, n_params: int, n_inputs: int) -> Tape:

@@ -304,7 +304,7 @@ class TestBatched:
         # lagged rows and prefix sums carried across block edges
         monkeypatch.setattr(est, "BLOCK_PATHS", 16)
         paths = generate(12, 100, 5)
-        for width in (1, 3, 8):
+        for width in (1, 3, 8, 40):  # 40: one chunk per block
             for alg in (2, 3):
                 got = est.grad_est_batched(alg, tape, vols, paths, targets,
                                            width=width)
@@ -354,6 +354,39 @@ class TestBlocking:
                            for alg in (1, 2, 3)])
         for a, b in zip(*runs):
             assert (a.grad == b.grad).all() and (a.variance == b.variance).all()
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("run", [
+        est.grad_est1, est.grad_est2, est.grad_est3,
+        lambda *a: est.grad_est_batched(3, *a, width=4),
+    ], ids=["alg1", "alg2", "alg3", "batched"])
+    def test_non_finite_targets_rejected(self, run, bad):
+        spec, curve, tape = fixture_tape()
+        targets = spec.prices.copy()
+        targets[2] = bad
+        with pytest.raises(ValueError, match="targets"):
+            run(tape, curve.knot_vols, generate(19, 64, 5), targets)
+
+    @pytest.mark.parametrize("batch_count", [0, 1, -2])
+    def test_lagged_batch_count_below_two_rejected(self, batch_count):
+        spec, curve, tape = fixture_tape()
+        paths = generate(20, 64, 5)
+        args = (tape, curve.knot_vols, paths, spec.prices)
+        terms = np.random.default_rng(6).standard_normal((1000, 2))
+        for run in (lambda: est.estimate_variance(terms, 2, batch_count),
+                    lambda: est.estimate_variance(terms, 3, batch_count),
+                    lambda: est.grad_est2(*args, batch_count=batch_count),
+                    lambda: est.grad_est3(*args, batch_count=batch_count),
+                    lambda: est.grad_est_batched(2, *args, width=4,
+                                                 batch_count=batch_count)):
+            with pytest.raises(ValueError, match="batch_count"):
+                run()
+        # algorithm 1 does not read it
+        assert np.isfinite(est.estimate_variance(terms, 1, batch_count)).all()
+        e = est.grad_est1(*args, batch_count=batch_count)
+        assert np.isfinite(e.variance).all()
 
 
 class TestSerialSweep:

@@ -1,6 +1,7 @@
-"""The benchmark's calls into the library: its self-test and a traced run.
+"""The benchmark's calls into the library: its self-test, a traced run and
+an untraced run that reports the end-to-end metrics.
 
-Both run from a temporary copy of ``perfbench/`` whose ``src`` links to
+All run from a temporary copy of ``perfbench/`` whose ``src`` links to
 this checkout, so nothing is written under the tree.
 """
 
@@ -43,5 +44,16 @@ def test_traced_batched_run(bench_root):
     result = json.loads(stdout.strip().splitlines()[-1])
     assert result["failed"] == 0
     for name in ("estimators.k_f", "estimators.k_r"):
+        value = result["metrics"][name]["value"]
+        assert math.isfinite(value) and value > 0, name
+
+
+def test_untraced_run_reports_end_to_end_metrics(bench_root):
+    stdout = run(bench_root, "perfbench/run.py", "--workload", "batched-w8",
+                 "--seed", "1", "--seconds", "0", "--trace", "0")
+    result = json.loads(stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for name in (metric["name"] for metric in declared):
         value = result["metrics"][name]["value"]
         assert math.isfinite(value) and value > 0, name
