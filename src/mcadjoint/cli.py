@@ -49,16 +49,18 @@ class RunConfig:
     batch_width: int = 8
     out_dir: str = "out"
     repeats: int = 3
-    max_iter: int = 40
+    max_iter: int = opt._CALIBRATION.max_iter
     generator_id: str = "philox"
 
     def __post_init__(self):
-        if any(n < 2 for n in self.n_mc_list):
-            raise ValueError("every N_mc must be >= 2")
-        if not set(self.algorithms) <= {1, 2, 3}:
-            raise ValueError("algorithms must be a subset of {1,2,3}")
+        if not self.n_mc_list or any(n < 2 for n in self.n_mc_list):
+            raise ValueError("need one or more N_mc, every N_mc >= 2")
+        if not self.algorithms or not set(self.algorithms) <= {1, 2, 3}:
+            raise ValueError("algorithms must be a non-empty subset of {1,2,3}")
         if self.batch_width < 1:
             raise ValueError(f"batch width must be >= 1, got {self.batch_width}")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if self.generator_id not in rng.GENERATOR_IDS:
             raise ValueError(f"unknown generator {self.generator_id!r}; "
                              f"choose from {rng.GENERATOR_IDS}")
@@ -77,7 +79,7 @@ class RunConfig:
 def _timed_estimate(cfg: RunConfig, alg, tape, vols, paths, targets):
     """Median-of-repeats wall time; the estimate itself is seed-determined."""
     times = []
-    for _ in range(max(1, cfg.repeats)):
+    for _ in range(cfg.repeats):
         t0 = time.perf_counter()
         estimate = opt._ESTIMATORS[alg](tape, vols, paths, targets)
         times.append(time.perf_counter() - t0)
@@ -166,9 +168,9 @@ def cmd_gradient(cfg: RunConfig):
 
 def cmd_calibrate(cfg: RunConfig):
     """One calibration trace CSV per requested (algorithm, N_mc)."""
+    config = replace(opt._CALIBRATION, max_iter=cfg.max_iter)
     spec, curve = cfg.load_market()
     out = cfg.ensure_out()
-    config = replace(opt._CALIBRATION, max_iter=cfg.max_iter)
     written = []
     for alg in cfg.algorithms:
         for n_mc in cfg.n_mc_list:
@@ -225,14 +227,17 @@ _OPTIONS = {
     "spec": ("spec_path", str,
              "market spec file (default: built-in fixture)", None),
     "alg": ("algorithms", _parse_int_list,
-            "comma-separated algorithms, e.g. 1,2,3", None),
+            "comma-separated algorithms, e.g. 1,2,3",
+            ("variance-table", "gradient", "calibrate")),
     "nmc": ("n_mc_list", _parse_int_list,
             "comma-separated path counts, e.g. 1e5,1e6", None),
     "seed": ("seed", int, "base RNG seed (64-bit)", None),
     "batch_width": ("batch_width", int,
-                    "lane count c that measure-speedup measures", None),
+                    "lane count c that measure-speedup measures",
+                    ("measure-speedup",)),
     "out": ("out_dir", str, "output directory for CSV files", None),
-    "repeats": ("repeats", int, "timing repetitions per row", None),
+    "repeats": ("repeats", int, "timing repetitions per row",
+                ("variance-table", "gradient", "measure-speedup")),
     "generator": ("generator_id", str, "rng id: philox or pcg64", None),
     "max_iter": ("max_iter", int, "optimizer iteration budget",
                  ("calibrate",)),
@@ -286,7 +291,7 @@ def _resolve(args) -> RunConfig:
         name, parse = _OPTIONS[key][:2]
         try:
             values[name] = parse(text)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: inf
             raise ValueError(f"{source}: {exc}") from None
     return RunConfig(subcommand=args.subcommand, **values)
 

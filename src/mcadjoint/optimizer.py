@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,22 +35,21 @@ __all__ = [
 
 _ESTIMATORS = {1: est.grad_est1, 2: est.grad_est2, 3: est.grad_est3}
 
+_MEMORY = 8            # curvature pairs kept
+_ARMIJO_C1 = 1e-4      # Armijo sufficient-decrease constant
+_MAX_BACKTRACKS = 20   # step halvings before the line search gives up
+
 
 @dataclass
 class LbfgsConfig:
-    memory: int = 8
     max_iter: int = 100
     grad_norm_tol: float = 1e-8
-    armijo_c1: float = 1e-4
-    max_backtracks: int = 20
     param_floor: float | None = None
     max_step: float | None = None   # cap on the per-iteration step, inf-norm
 
     def __post_init__(self):
-        if not 0 < self.armijo_c1 < 1:
-            raise ValueError("need 0 < armijo_c1 < 1")
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
         if self.max_step is not None and self.max_step <= 0:
             raise ValueError("max_step must be positive")
 
@@ -95,6 +95,41 @@ def _project(x, floor):
     return x if floor is None else np.maximum(x, floor)
 
 
+def _finite(f, g) -> bool:
+    return bool(np.isfinite(f) and np.all(np.isfinite(g)))
+
+
+def _direction(g, history, max_step):
+    """Two-loop recursion over ``(s, y, rho)`` pairs, oldest first; returns
+    the search direction, capped at max_step in the inf-norm, and its slope."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(history):
+        a = rho * (s @ q)
+        alphas.append(a)
+        q -= a * y
+    if history:
+        s, y, _ = history[-1]
+        q *= (s @ y) / (y @ y)
+    else:
+        # no curvature yet: cap the first trial step at unit length
+        q /= max(1.0, float(np.linalg.norm(q)))
+    for (s, y, rho), a in zip(history, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    d = -q
+
+    slope = float(g @ d)
+    if slope >= 0:  # not a descent direction; fall back to steepest descent
+        d = -g
+        slope = float(g @ d)
+    if max_step is not None:
+        longest = float(np.max(np.abs(d)))
+        if longest > max_step:
+            d *= max_step / longest
+            slope = float(g @ d)
+    return d, slope
+
+
 def lbfgs_minimize(fg, x0, config: LbfgsConfig = None, *, value_fn=None,
                    cost_tracker=None, step_setup=None):
     """Minimize a callback returning ``(value, gradient)``.
@@ -102,132 +137,72 @@ def lbfgs_minimize(fg, x0, config: LbfgsConfig = None, *, value_fn=None,
     value_fn, when given, supplies cheap value-only evaluations for line
     search probes.  step_setup(k), when given, is called at the start of
     every iteration and the objective is re-evaluated afterwards (for
-    stochastic objectives whose sample changes per iteration).
-    cost_tracker, when given, is a :class:`ReplayCounters` that the
-    callbacks update themselves; by default the trace counts one F per
-    value call and one F and one R per gradient call.  Returns ``(x,
-    trace)``; ``trace.status`` reports how iteration ended.
+    stochastic objectives whose sample changes per iteration).  The trace's
+    F/R counts are read from cost_tracker, a :class:`ReplayCounters` the
+    callbacks update themselves (by default a fresh one, so they read 0).
+    Returns ``(x, trace)``: x is the point of the last record, and
+    ``trace.status`` says how iteration ended (``non_finite_abort`` on a
+    non-finite value or gradient).
     """
     config = config or LbfgsConfig()
     x = _project(np.asarray(x0, dtype=np.float64).copy(), config.param_floor)
-    n = x.size
     counter = cost_tracker if cost_tracker is not None else ReplayCounters()
-    track_calls = cost_tracker is None
+    value = value_fn or (lambda z: fg(z)[0])
 
     def eval_fg(z):
         f, g = fg(z)
-        if track_calls:
-            counter.f_evals += 1
-            counter.r_evals += 1
         return float(f), np.asarray(g, dtype=np.float64)
-
-    def eval_value(z):
-        if value_fn is not None:
-            v = float(value_fn(z))
-            if track_calls:
-                counter.f_evals += 1
-            return v
-        return eval_fg(z)[0]
 
     trace = CalibrationTrace()
     t_start = time.perf_counter()
 
+    def log_state(k):
+        trace.append(TraceRecord(k, f, float(np.linalg.norm(g)), x.copy(),
+                                 counter.f_evals, counter.r_evals,
+                                 (time.perf_counter() - t_start) * 1e3))
+
     if step_setup is not None:
         step_setup(0)
     f, g = eval_fg(x)
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
-        trace.status = "non_finite_abort"
-        trace.append(TraceRecord(0, f, float(np.linalg.norm(g)), x.copy(),
-                                 counter.f_evals, counter.r_evals, 0.0))
-        return x, trace
-
-    def log_state(k):
-        trace.append(TraceRecord(
-            iteration=k, loss=f, grad_norm=float(np.linalg.norm(g)),
-            params=x.copy(), f_evals=counter.f_evals,
-            r_evals=counter.r_evals,
-            millis=(time.perf_counter() - t_start) * 1e3,
-        ))
-
-    log_state(0)
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    history = deque(maxlen=_MEMORY)
     trace.status = "max_iter"
 
-    for k in range(1, config.max_iter + 1):
-        if np.linalg.norm(g) <= config.grad_norm_tol:
-            trace.status = "converged"
-            break
-
-        # two-loop recursion
-        q = g.copy()
-        alphas = []
-        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            a = rho * (s @ q)
-            alphas.append(a)
-            q -= a * y
-        if y_hist:
-            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-            q *= gamma
-        else:
-            # no curvature yet: cap the first trial step at unit length
-            q /= max(1.0, float(np.linalg.norm(q)))
-        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-            b = rho * (y @ q)
-            q += (a - b) * s
-        d = -q
-
-        slope = float(g @ d)
-        if slope >= 0:  # not a descent direction; fall back to steepest descent
-            d = -g
-            slope = float(g @ d)
-        if config.max_step is not None:
-            longest = float(np.max(np.abs(d)))
-            if longest > config.max_step:
-                d *= config.max_step / longest
-                slope = float(g @ d)
-
-        # backtracking Armijo line search on value-only probes
-        t = 1.0
-        x_new = None
-        for _ in range(config.max_backtracks + 1):
-            x_try = _project(x + t * d, config.param_floor)
-            f_try = eval_value(x_try)
-            if np.isfinite(f_try) and f_try <= f + config.armijo_c1 * t * slope:
-                x_new = x_try
+    for k in range(config.max_iter + 1):
+        if k:
+            d, slope = _direction(g, history, config.max_step)
+            # backtracking Armijo line search on value-only probes
+            t = 1.0
+            for _ in range(_MAX_BACKTRACKS + 1):
+                x_new = _project(x + t * d, config.param_floor)
+                f_new = float(value(x_new))
+                if np.isfinite(f_new) and f_new <= f + _ARMIJO_C1 * t * slope:
+                    break
+                t *= 0.5
+            else:
+                trace.status = "line_search_failure"
                 break
-            t *= 0.5
-        if x_new is None:
-            trace.status = "line_search_failure"
-            break
 
-        f_new, g_new = eval_fg(x_new)
-        if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
+            f_new, g_new = eval_fg(x_new)
+            if not _finite(f_new, g_new):
+                trace.status = "non_finite_abort"
+                break
+            s, y = x_new - x, g_new - g
+            sy = float(s @ y)
+            if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+                history.append((s, y, 1.0 / sy))
+
+            x, f, g = x_new, f_new, g_new
+            if step_setup is not None and k < config.max_iter:
+                # fresh sample for the next iteration: re-anchor value and gradient
+                step_setup(k)
+                f, g = eval_fg(x)
+        log_state(k)
+        if not _finite(f, g):
             trace.status = "non_finite_abort"
             break
-
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > config.memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
-
-        x, f, g = x_new, f_new, g_new
-        if step_setup is not None and k < config.max_iter:
-            # fresh sample for the next iteration: re-anchor value and gradient
-            step_setup(k)
-            f, g = eval_fg(x)
-        log_state(k)
-    else:
         if np.linalg.norm(g) <= config.grad_norm_tol:
             trace.status = "converged"
+            break
 
     return x, trace
 

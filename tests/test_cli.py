@@ -182,6 +182,40 @@ class TestArgumentHandling:
         assert rc == 1
         assert f"error: {flag}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gradient", "--nmc", ","], "N_mc"),
+        (["measure-speedup", "--nmc", ","], "N_mc"),
+        (["gradient", "--nmc", "inf"], "--nmc: "),
+        (["calibrate", "--alg", "inf"], "--alg: "),
+        (["gradient", "--alg", ","], "algorithms"),
+        (["variance-table", "--alg", ","], "algorithms"),
+        (["gradient", "--repeats", "0"], "repeats must be >= 1"),
+        (["variance-table", "--repeats", "-3"], "repeats must be >= 1"),
+        (["calibrate", "--max-iter", "-1"], "max_iter must be >= 0"),
+    ], ids=["gradient-empty-nmc", "speedup-empty-nmc", "inf-nmc", "inf-alg",
+            "gradient-empty-alg", "table-empty-alg", "zero-repeats",
+            "negative-repeats", "negative-max-iter"])
+    def test_bad_value_fails_before_running(self, argv, message, tmp_path,
+                                            capsys):
+        rc = cli.main(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand, key", [
+        ("gradient", "batch_width"), ("variance-table", "batch_width"),
+        ("calibrate", "batch_width"), ("calibrate", "repeats"),
+        ("measure-speedup", "alg")])
+    def test_flag_only_where_read(self, subcommand, key, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args([subcommand, cli._flag(key), "2"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+        conf = tmp_path / "run.cfg"
+        conf.write_text(f"{key} = 2\n")  # config keys stay accepted
+        args = cli._build_parser().parse_args([subcommand, "--config", str(conf)])
+        assert getattr(cli._resolve(args), cli._OPTIONS[key][0]) in (2, [2])
+
     def test_unknown_generator_rejected(self, capsys):
         with pytest.raises(ValueError, match="unknown generator 'mt19937'"):
             cli.RunConfig(subcommand="gradient", generator_id="mt19937")

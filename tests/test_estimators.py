@@ -447,6 +447,23 @@ class TestSpeedupMeasurement:
         for k in (report.k_f, report.k_r):
             assert np.isfinite(k) and k > 0
 
+    def test_times_are_medians_over_runs(self, monkeypatch):
+        # scripted (forward, reverse) per-path seconds, scalar then batched
+        # in each run; the last run differs from the median in every column
+        costs = iter([(2e-6, 4e-6), (8e-6, 16e-6),
+                      (3e-6, 6e-6), (24e-6, 48e-6),
+                      (1e-6, 2e-6), (40e-6, 80e-6)])
+        monkeypatch.setattr(est, "_replay_cost", lambda *a: next(costs))
+        spec, curve, tape = fixture_tape()
+        report = est.measure_correction_coefficients(
+            tape, curve.knot_vols, generate(20, 64, 5), width=8, repeats=3)
+        times = (report.t_scalar_f_us, report.t_scalar_r_us,
+                 report.t_batched_f_us, report.t_batched_r_us)
+        assert times == pytest.approx((2.0, 4.0, 24.0, 48.0))
+        assert report.k_f_runs == pytest.approx([32.0, 64.0, 320.0])
+        assert report.k_f == pytest.approx(64.0)
+        assert report.k_r == pytest.approx(64.0)
+
     @pytest.mark.parametrize("width", [0, -3])
     def test_width_below_one_rejected(self, width):
         spec, curve, tape = fixture_tape()

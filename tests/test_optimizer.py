@@ -74,9 +74,39 @@ class TestLbfgs:
             return 0.5 * float(x @ x), x.copy()
 
         x, trace = lbfgs_minimize(f, np.array([3.0]),
-                                  LbfgsConfig(max_iter=50, max_backtracks=2))
+                                  LbfgsConfig(max_iter=50))
         assert trace.status in ("non_finite_abort", "line_search_failure")
         assert np.isfinite(x).all()
+
+    def test_non_finite_reanchor_aborts_without_probes(self):
+        # the sample drawn after the first step makes the objective NaN: the
+        # run stops at that re-anchor instead of line-searching on NaN probes
+        sample = {"k": 0}
+        calls = []
+
+        def loss(x):
+            return np.nan if sample["k"] >= 1 else 0.5 * float(x @ x)
+
+        def fg(x):
+            calls.append("fg")
+            return loss(x), x.copy()
+
+        def value_fn(x):
+            calls.append("value")
+            return loss(x)
+
+        def step_setup(k):
+            sample["k"] = k
+
+        x, trace = lbfgs_minimize(fg, np.array([3.0, -4.0]),
+                                  LbfgsConfig(max_iter=10), value_fn=value_fn,
+                                  step_setup=step_setup)
+        assert trace.status == "non_finite_abort"
+        # start, one accepted probe, the accepted point, the re-anchor
+        assert calls == ["fg", "value", "fg", "fg"]
+        assert trace.records[-1].iteration == 1
+        assert np.isnan(trace.records[-1].loss)
+        np.testing.assert_array_equal(x, trace.records[-1].params)
 
     def test_projection_respects_floor(self):
         x, _ = lbfgs_minimize(quadratic, np.array([3.0, -4.0]),
@@ -96,13 +126,13 @@ class TestLbfgs:
         assert steps.max() <= 1.0 + 1e-12
 
     def test_config_validation(self):
-        for c1 in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                LbfgsConfig(armijo_c1=c1)
-        with pytest.raises(ValueError):
-            LbfgsConfig(memory=0)
         with pytest.raises(ValueError):
             LbfgsConfig(max_step=-1.0)
+
+    @pytest.mark.parametrize("max_iter", [-1, -5])
+    def test_negative_iteration_budget_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be >= 0"):
+            LbfgsConfig(max_iter=max_iter)
 
 
 class TestTrace:

@@ -49,11 +49,14 @@ def test_traced_batched_run(bench_root):
 
 
 def test_untraced_run_reports_end_to_end_metrics(bench_root):
-    stdout = run(bench_root, "perfbench/run.py", "--workload", "batched-w8",
-                 "--seed", "1", "--seconds", "0", "--trace", "0")
-    result = json.loads(stdout.strip().splitlines()[-1])
-    assert result["failed"] == 0
+    # calibrate-1e5 also runs that workload's checks on three calibrations:
+    # whole-call F/R counts, the fitted-vol tolerance and no non-finite abort
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    for name in (metric["name"] for metric in declared):
-        value = result["metrics"][name]["value"]
-        assert math.isfinite(value) and value > 0, name
+    for workload in ("batched-w8", "calibrate-1e5"):
+        stdout = run(bench_root, "perfbench/run.py", "--workload", workload,
+                     "--seed", "1", "--seconds", "0", "--trace", "0")
+        result = json.loads(stdout.strip().splitlines()[-1])
+        assert result["failed"] == 0, workload
+        for name in (metric["name"] for metric in declared):
+            value = result["metrics"][name]["value"]
+            assert math.isfinite(value) and value > 0, (workload, name)
