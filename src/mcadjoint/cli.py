@@ -19,7 +19,7 @@ import csv
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,15 @@ __all__ = [
     "read_csv_table",
 ]
 
+
+def _seed(value) -> int:
+    """A seed as an int in [0, 2**64), the range of the path generators."""
+    seed = int(value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 @dataclass
 class RunConfig:
     subcommand: str
@@ -53,6 +62,7 @@ class RunConfig:
     generator_id: str = "philox"
 
     def __post_init__(self):
+        _seed(self.seed)
         if not self.n_mc_list or any(n < 2 for n in self.n_mc_list):
             raise ValueError("need one or more N_mc, every N_mc >= 2")
         if not self.algorithms or not set(self.algorithms) <= {1, 2, 3}:
@@ -193,9 +203,8 @@ def cmd_measure_speedup(cfg: RunConfig):
     out = cfg.ensure_out()
     n_mc = min(cfg.n_mc_list[0], 20_000)
     paths = rng.generate(cfg.seed, n_mc, tape.n_inputs, cfg.generator_id)
-    repeats = max(cfg.repeats, 5)
     report = est.measure_correction_coefficients(
-        tape, curve.knot_vols, paths, cfg.batch_width, repeats=repeats)
+        tape, curve.knot_vols, paths, cfg.batch_width, repeats=cfg.repeats)
     header = ["width", "k_f", "k_r", "t_scalar_f_us", "t_scalar_r_us",
               "t_batched_f_us", "t_batched_r_us", "k_f_spread", "k_r_spread"]
     kf_spread = float(np.std(report.k_f_runs)) if len(report.k_f_runs) > 1 else 0.0
@@ -231,7 +240,7 @@ _OPTIONS = {
             ("variance-table", "gradient", "calibrate")),
     "nmc": ("n_mc_list", _parse_int_list,
             "comma-separated path counts, e.g. 1e5,1e6", None),
-    "seed": ("seed", int, "base RNG seed (64-bit)", None),
+    "seed": ("seed", _seed, "base RNG seed in [0, 2**64)", None),
     "batch_width": ("batch_width", int,
                     "lane count c that measure-speedup measures",
                     ("measure-speedup",)),
@@ -254,6 +263,7 @@ def _build_parser():
         description="Monte-Carlo adjoint gradient experiments",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     for name, help_text in [
         ("variance-table", "variance and wall time per (algorithm, N_mc)"),
         ("gradient", "gradient comparison across algorithms at fixed N_mc"),
@@ -262,8 +272,10 @@ def _build_parser():
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value file; flags override it")
-        for key, (_, _, help_text, commands) in _OPTIONS.items():
+        for key, (attr, _, help_text, commands) in _OPTIONS.items():
             if commands is None or name in commands:
+                if defaults[attr] not in (MISSING, None):
+                    help_text += f" (default {defaults[attr]})"
                 p.add_argument(_flag(key), dest=key, help=help_text)
     return parser
 

@@ -30,7 +30,12 @@ counts that are checked against their closed forms on every run.
 Paths are processed one block of about ``BLOCK_PATHS`` at a time, in path
 order, with lane-wise vectorized replay; running sums are taken in path
 order, so with the lane determinism of the engine the result is
-independent of the blocking.
+independent of the blocking.  Every pass of an estimate replays into one
+block buffer, bound to the tape (``Tape.bound``) so that its row views are
+built once.  The seeding steps work lane-major, as the buffer holds the
+values: they read a block's outputs as one row per output and write the
+seeds the same way, and the reverse sweep writes each path's parameter
+adjoints straight into that path's row of the term matrix.
 """
 
 from __future__ import annotations
@@ -188,28 +193,30 @@ def _check_counts(counters: ReplayCounters, f_expected: int, r_expected: int) ->
         )
 
 
-def _sweep(tape: Tape, params, paths: PathBatch, ranges,
+def _sweep(tape: Tape, params, paths: PathBatch, ranges, buffer,
            counters: ReplayCounters, seed, terms=None, lag: int = 0) -> None:
     """Replay the blocks of ``ranges`` in path order, counting into ``counters``.
 
-    Each block is forwarded into one reused buffer.  ``seed(lo, hi, y_blk)``
-    returns the reverse seeds of the block's last paths (it alone decides how
-    many), or None for a forward-only block.  The seeded lanes are reversed
-    into ``terms``, whose row r belongs to path r + lag.
+    Each block is forwarded into the leading lanes of ``buffer``.
+    ``seed(lo, hi, y)`` gets the block's outputs lane-major, shape
+    (n_outputs, hi - lo), and returns lane-major seed rows for the block's
+    last paths (it alone decides how many), or None for a forward-only
+    block.  The seeded lanes are reversed straight into ``terms``, whose row
+    r belongs to path r + lag.
     """
-    # a buffer freed after each block lets malloc return its pages, and every
-    # block faults them back in (algorithm 1 ran 2.5x slower on a 2-vCPU Xeon
-    # VM)
-    buffer = tape.alloc_buffer(ranges[0][1])
     for lo, hi in ranges:
-        y_blk, buf = tape.replay_forward(params, paths.draws[lo:hi],
-                                         buffer=buffer[:, : hi - lo],
-                                         counters=counters)
-        seeds = seed(lo, hi, y_blk)
+        n = hi - lo
+        # a full block replays into the bound buffer object itself, so that
+        # its row views are reused
+        block = buffer if n == buffer.shape[1] else buffer[:, :n]
+        y, _ = tape.replay_forward(params, paths.draws[lo:hi], buffer=block,
+                                   counters=counters)
+        seeds = seed(lo, hi, y.T)
         if seeds is not None:
-            k = len(seeds)
-            terms[hi - k - lag: hi - lag] = tape.replay_reverse(
-                buf[:, hi - lo - k:], seeds, counters=counters)
+            k = seeds.shape[1]
+            tape.replay_reverse(block if k == n else block[:, n - k:],
+                                seeds.T, out=terms[hi - k - lag: hi - lag],
+                                counters=counters)
 
 
 def _lagged_seeds(algorithm: int, lag: int, targets, size: int):
@@ -217,43 +224,53 @@ def _lagged_seeds(algorithm: int, lag: int, targets, size: int):
 
     Path j >= lag is seeded from y_{j-lag} (algorithm 2) or from the mean over
     paths [0, floor(j/lag) lag) (algorithm 3); calls must come in path order.
+    Seeds are written lane-major, one row per output; paths 0..lag-1 seed
+    nothing.
     """
     m = len(targets)
-    # the targets repeated per path of a block: a same-shape subtract is
-    # about 5x faster than one broadcasting a 5-wide row
-    target_rows = np.tile(targets, (size, 1))
-    carry_y = np.empty((0, m))  # last lag outputs before the block
-    carry_sum = np.zeros(m)     # sum of y over paths before the block
-    # chunk starts 0, lag, 2 lag, ..., offset per block into the path counts
-    # before each chunk: a same-shape divisor, like the targets
-    counts = np.tile(np.arange(0, size, lag, dtype=np.float64)[:, None], (1, m))
-    divisor = np.empty_like(counts)
+    t_col = targets[:, None]
+    prev = 0  # paths in the previous block
 
-    def seed(lo, hi, y_blk):
-        nonlocal carry_y, carry_sum
-        if algorithm == 2:
-            ext = np.vstack([carry_y, y_blk])
-            carry_y = ext[-lag:]
-            seeds = ext[:-lag]
-            seeds -= target_rows[: len(seeds)]
-            return seeds
-        # pre[k]: sum of y over paths [0, lo + k), summed in order; each
-        # chunk of lag paths is seeded from the mean before it
-        pre = np.empty((hi - lo + 1, m))
-        pre[0] = carry_sum
-        pre[1:] = y_blk
-        np.cumsum(pre, axis=0, out=pre)
-        carry_sum = pre[-1]
-        skip = lag if lo == 0 else 0  # paths 0..lag-1 seed nothing
-        means = pre[skip: hi - lo: lag]
-        k = len(means)
-        np.add(counts[:k], lo + skip, out=divisor[:k])
-        means /= divisor[:k]
-        seeds = means
+    if algorithm == 2:
+        # the residuals y - C of the last lag paths before the block, then
+        # of the block's paths
+        resid = np.empty((m, lag + size))
+
+        def seed(lo, hi, y):
+            nonlocal prev
+            n = hi - lo
+            resid[:, :lag] = resid[:, prev: prev + lag]
+            prev = n
+            np.subtract(y, t_col, out=resid[:, lag: lag + n])
+            return resid[:, lag if lo == 0 else 0: n]
+
+        return seed
+
+    # pre[:, k]: the sum of y over paths [0, lo + k), summed in path order;
+    # chunk starts 0, lag, 2 lag, ... are offset per block into the path
+    # counts before each chunk
+    pre = np.empty((m, size + 1))
+    pre[:, 0] = 0.0
+    starts = np.arange(0, size, lag, dtype=np.float64)
+    divisor = np.empty_like(starts)
+    means = np.empty((m, len(starts)))
+
+    def seed(lo, hi, y):
+        nonlocal prev
+        n = hi - lo
+        pre[:, 0] = pre[:, prev]
+        prev = n
+        pre[:, 1: n + 1] = y
+        np.cumsum(pre[:, : n + 1], axis=1, out=pre[:, : n + 1])
+        # each chunk of lag paths is seeded from the mean before it
+        skip = lag if lo == 0 else 0
+        sums = pre[:, skip: n: lag]
+        k = sums.shape[1]
+        np.add(starts[:k], lo + skip, out=divisor[:k])
+        seeds = np.divide(sums, divisor[:k], out=means[:, :k])
         if lag > 1:
-            seeds = np.repeat(means, lag, axis=0)[: hi - lo - skip]
-        seeds -= target_rows[: len(seeds)]
-        return seeds
+            seeds = np.repeat(seeds, lag, axis=1)[:, : n - skip]
+        return np.subtract(seeds, t_col, out=seeds)
 
     return seed
 
@@ -282,27 +299,35 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
     size = ranges[0][1]
     terms = np.empty((n - lag, tape.n_params), dtype=np.float64)
     counters = ReplayCounters()
-    if algorithm == 1:
-        # pass one keeps the running sum of the outputs as row 0 of a stack
-        # over each block, so rows add in path order, as y.mean(axis=0) adds
-        stack = np.zeros((size + 1, tape.n_outputs))
+    # one block buffer serves every pass: a buffer freed after each block
+    # lets malloc return its pages, and every block faults them back in
+    # (algorithm 1 ran 2.5x slower on a 2-vCPU Xeon VM)
+    buffer = tape.alloc_buffer(size)
+    with tape.bound(buffer):
+        if algorithm == 1:
+            # pass one keeps the running sum of the outputs as row 0 of a
+            # stack over each block, so rows add in path order, as
+            # y.mean(axis=0) adds
+            stack = np.zeros((size + 1, tape.n_outputs))
 
-        def add_outputs(lo, hi, y_blk):
-            stack[1: hi - lo + 1] = y_blk
-            stack[0] = stack[: hi - lo + 1].sum(axis=0)
+            def add_outputs(lo, hi, y):
+                stack[1: hi - lo + 1] = y.T
+                stack[0] = stack[: hi - lo + 1].sum(axis=0)
 
-        _sweep(tape, params, paths, ranges, counters, add_outputs)
-        lam = stack[0] / n - targets
+            _sweep(tape, params, paths, ranges, buffer, counters, add_outputs)
+            lam = stack[0] / n - targets
 
-        def seed(lo, hi, y_blk):
-            return np.broadcast_to(lam, (hi - lo, tape.n_outputs))
-    else:
-        seed = _lagged_seeds(algorithm, lag, targets, size)
-    _sweep(tape, params, paths, ranges, counters, seed, terms, lag)
+            def seed(lo, hi, y):
+                return np.broadcast_to(lam[:, None], y.shape)
+        else:
+            seed = _lagged_seeds(algorithm, lag, targets, size)
+        _sweep(tape, params, paths, ranges, buffer, counters, seed, terms, lag)
 
     _check_counts(counters, 2 * n if algorithm == 1 else n, n - lag)
     return GradientEstimate(
-        grad=terms.mean(axis=0),
+        # einsum adds the rows in order, as mean(axis=0) does for more than
+        # one column, in about a third of the time
+        grad=np.einsum("ij->j", terms) / len(terms),
         variance=_variance_or_nan(terms, algorithm, batch_count),
         n_paths=n,
         f_evals=counters.f_evals,
@@ -381,19 +406,20 @@ def _replay_cost(tape: Tape, params, draws, width: int) -> tuple:
     """Per-path forward and reverse seconds of ``width``-lane replays.
 
     Each full ``width``-row slice of ``draws`` is replayed forward, then in
-    reverse, through one reused buffer.
+    reverse, through one reused buffer, bound as the estimators bind theirs.
     """
     buf = tape.alloc_buffer(width)
-    seeds = np.ones((width, tape.n_outputs))
+    seeds = np.ones((tape.n_outputs, width)).T  # lane-major, as _sweep's
     n = len(draws) // width * width
     t_f = t_r = 0.0
-    for lo in range(0, n, width):
-        t0 = time.perf_counter()
-        tape.replay_forward(params, draws[lo: lo + width], buffer=buf)
-        t1 = time.perf_counter()
-        tape.replay_reverse(buf, seeds)
-        t_f += t1 - t0
-        t_r += time.perf_counter() - t1
+    with tape.bound(buf):
+        for lo in range(0, n, width):
+            t0 = time.perf_counter()
+            tape.replay_forward(params, draws[lo: lo + width], buffer=buf)
+            t1 = time.perf_counter()
+            tape.replay_reverse(buf, seeds)
+            t_f += t1 - t0
+            t_r += time.perf_counter() - t1
     return t_f / n, t_r / n
 
 

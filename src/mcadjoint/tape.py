@@ -29,6 +29,7 @@ scalar read of a hoisted invariant, bit-identical lane by lane.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,6 +280,7 @@ class Tape:
         self._validate()
         self._compile()
         self._cache = (None, None, None)
+        self._bound = (None, None, None)
 
     # -- structure ----------------------------------------------------------
 
@@ -568,6 +570,39 @@ class Tape:
         """
         return np.empty((self._n_rows, n_lanes), dtype=np.float64)
 
+    @contextmanager
+    def bound(self, buffer):
+        """Let replays into ``buffer`` share one set of row views.
+
+        A replay addresses its buffer, the adjoint rows and the invariant
+        scalars through a list of row views.  Inside the ``with`` block,
+        replays into this very array object build that list, and the
+        adjoint rows, once per parameter vector instead of on every call.
+        Leaving the block drops them, so no buffer stays pinned by the
+        tape.  One buffer is bound at a time; a replay into any other array
+        builds its own rows, so results never depend on the binding.
+        """
+        self._bound = (buffer, None, None)
+        try:
+            yield
+        finally:
+            self._bound = (None, None, None)
+
+    def _rows(self, buffer, entry):
+        """``(forward rows, reverse rows, adjoint rows)`` of a replay into
+        ``buffer`` with the invariants ``entry``.  The row lists hold the
+        buffer's rows, for the reverse then the adjoint rows, then the
+        scalars; built once while ``buffer`` is bound, else per call."""
+        bound = self._bound
+        if bound[0] is buffer and bound[1] is entry:
+            return bound[2]
+        adj = np.empty((self._n_adj, buffer.shape[1]), dtype=np.float64)
+        own = [*buffer]
+        rows = ([*own, *entry[1]], [*own, *adj, *entry[1]], adj)
+        if bound[0] is buffer:
+            self._bound = (buffer, entry, rows)
+        return rows
+
     def _check_params(self, params) -> np.ndarray:
         params = np.asarray(params, dtype=np.float64)
         if params.shape != (self.n_params,):
@@ -581,7 +616,10 @@ class Tape:
         """Forward replay over an arbitrary block of input rows.
 
         ``inputs`` has shape (n_lanes, n_inputs).  Returns ``(outputs,
-        buffer)`` with outputs of shape (n_lanes, n_outputs).  The filled
+        buffer)``.  ``outputs`` has shape (n_lanes, n_outputs) and is a view
+        of the buffer's last ``n_outputs`` rows, transposed, not a copy: the
+        next replay into the same buffer overwrites it, and ``outputs.T`` is
+        the lane-major (n_outputs, n_lanes) block of those rows.  The filled
         buffer can be fed to :meth:`replay_reverse` to avoid recomputing
         the forward pass.  A non-finite output raises
         :class:`NonFiniteError` naming the first node, in tape order, with a
@@ -605,9 +643,9 @@ class Tape:
         buffer[self._in_dst] = inputs.T[self._in_src]
         # non-finite values are detected explicitly below; keep IEEE quiet
         with np.errstate(all="ignore"):
-            _run(self._fwd, [*buffer, *entry[1]])
-        outputs = buffer[self._out_rows].T.copy()
-        if not np.all(np.isfinite(outputs)):
+            _run(self._fwd, self._rows(buffer, entry)[0])
+        outputs = buffer[self._out_rows].T
+        if not np.isfinite(outputs).all():
             self._raise_non_finite(buffer, entry[2])
         if counters is not None:
             counters.f_evals += n_lanes
@@ -619,16 +657,21 @@ class Tape:
         node = int(min(bad))
         raise NonFiniteError(node, _OP_NAMES[self._prog[node][0]])
 
-    def replay_reverse(self, buffer, seeds, *, counters=None) -> np.ndarray:
+    def replay_reverse(self, buffer, seeds, *, out=None,
+                       counters=None) -> np.ndarray:
         """Reverse sweep from a filled forward buffer.
 
         ``seeds`` has shape (n_lanes, n_outputs): one output-weight vector
-        per lane.  Returns per-lane parameter adjoints of shape
-        (n_lanes, n_params): row j holds sum_i seeds[j, i] * dy_i/dparam.
-        A non-finite parameter adjoint raises :class:`NonFiniteError` naming
-        the first node, in sweep order, whose step wrote a non-finite
-        adjoint among the adjoints that reach a parameter (adjoints of
-        constants, inputs and other parameter-free nodes are not formed).
+        per lane.  Any strides do; the transpose of a lane-major
+        (n_outputs, n_lanes) array is read row by row without a copy.
+        Returns per-lane parameter adjoints of shape (n_lanes, n_params):
+        row j holds sum_i seeds[j, i] * dy_i/dparam.  They are written into
+        ``out`` when given (a float64 array of that shape, returned), else
+        into a new array.  A non-finite parameter adjoint raises
+        :class:`NonFiniteError` naming the first node, in sweep order, whose
+        step wrote a non-finite adjoint among the adjoints that reach a
+        parameter (adjoints of constants, inputs and other parameter-free
+        nodes are not formed).
         """
         if buffer.ndim != 2 or buffer.shape[0] != self._n_rows:
             raise ValueError(
@@ -642,37 +685,43 @@ class Tape:
                 f"expected seeds of shape ({n_lanes}, {self.n_outputs}), "
                 f"got {seeds.shape}"
             )
-        grads = np.empty((n_lanes, self.n_params), dtype=np.float64)
+        if out is None:
+            out = np.empty((n_lanes, self.n_params), dtype=np.float64)
+        elif out.shape != (n_lanes, self.n_params) or out.dtype != np.float64:
+            raise ValueError(
+                f"expected out of shape ({n_lanes}, {self.n_params}) and dtype "
+                f"float64, got {out.shape} {out.dtype}"
+            )
         if n_lanes:
             entry = self._invariants(buffer[: self.n_params, 0])
-            adj = self._reverse_sweep(buffer, seeds, entry)
+            _, rows, adj = self._rows(buffer, entry)
+            self._reverse_sweep(rows, adj, seeds)
             # the first write of an adjoint is an assignment, which keeps a
             # -0.0 that accumulating onto +0.0 would not: fold it here
-            np.add(adj[self._grad_rows].T, 0.0, out=grads)
-            if not np.all(np.isfinite(grads)):
-                self._reverse_sweep(buffer, seeds, entry, locate=True)
+            np.add(adj[self._grad_rows].T, 0.0, out=out)
+            if not np.isfinite(out).all():
+                self._reverse_sweep(rows, adj, seeds, locate=True)
         if counters is not None:
             counters.r_evals += n_lanes
-        return grads
+        return out
 
-    def _reverse_sweep(self, buffer, seeds, entry, locate=False) -> np.ndarray:
-        """Adjoint rows after the reverse schedule; with ``locate``, raise at
-        the first node whose step writes a non-finite adjoint."""
-        adj = np.empty((self._n_adj, buffer.shape[1]), dtype=np.float64)
+    def _reverse_sweep(self, rows, adj, seeds, locate=False) -> None:
+        """Seed ``adj`` and run the reverse schedule over ``rows``; with
+        ``locate``, raise at the first node whose step writes a non-finite
+        adjoint.  Every adjoint row is written before it is read, so a
+        rerun needs no fresh rows."""
         adj[: self._n_seed] = seeds.T[self._seed_cols]
-        rows = [*buffer, *adj, *entry[1]]
         # non-finite parameter adjoints are detected by the caller
         with np.errstate(all="ignore"):
             if not locate:
                 _run(self._rev, rows)
-                return adj
+                return
             start = 0
             for end, node, written in self._rev_groups:
                 _run(self._rev[start:end], rows)
                 start = end
                 if not all(np.isfinite(rows[r]).all() for r in written):
                     raise NonFiniteError(node, _OP_NAMES[self._prog[node][0]])
-        return adj
 
     # -- one input set: a one-lane replay ------------------------------------
 

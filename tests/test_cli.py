@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mcadjoint.cli as cli
+import mcadjoint.estimators as est
 import mcadjoint.model as mdl
 from mcadjoint.optimizer import read_trace_csv
 
@@ -120,6 +121,23 @@ class TestMeasureSpeedup:
         assert row["k_r"] > 0 and np.isfinite(row["k_r"])
         assert row["k_f_spread"] >= 0.0
 
+    @pytest.mark.parametrize("argv, repeats", [([], 3),
+                                               (["--repeats", "2"], 2),
+                                               (["--repeats", "7"], 7)])
+    def test_repeats_taken_as_given(self, argv, repeats, tmp_path,
+                                    monkeypatch):
+        seen = []
+
+        def record(tape, params, paths, width, *, repeats):
+            seen.append(repeats)
+            return est.SpeedupReport(width, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+                                     repeats, [1.0] * repeats, [1.0] * repeats)
+
+        monkeypatch.setattr(est, "measure_correction_coefficients", record)
+        rc = cli.main(["measure-speedup", "--nmc", "64",
+                       "--out", str(tmp_path / "o"), *argv])
+        assert rc == 0 and seen == [repeats]
+
 
 class TestArgumentHandling:
     def test_flags_beat_config_file(self, tmp_path, market_file):
@@ -201,6 +219,21 @@ class TestArgumentHandling:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source, value", [
+        ("flag", "-1"), ("flag", str(2**64)), ("config", "-5"),
+        ("config", "99999999999999999999999")])
+    def test_seed_outside_u64_rejected(self, source, value, tmp_path, capsys):
+        conf = tmp_path / "run.cfg"
+        conf.write_text(f"nmc = 600\nseed = {value}\n")
+        argv = (["--seed", value] if source == "flag"
+                else ["--config", str(conf)])
+        rc = cli.main(["gradient", *argv, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        named = "--seed" if source == "flag" else f"{conf}:2: seed"
+        assert (f"error: {named}: seed must be in [0, 2**64), got {value}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("subcommand, key", [

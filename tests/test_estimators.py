@@ -128,6 +128,23 @@ class TestAlgorithm1:
         terms_bytes = paths.n_paths * e.grad.size * 8
         assert peak < terms_bytes + 2e6
 
+    def test_peak_within_two_block_buffers(self):
+        # both passes share one block buffer, and nothing the tape keeps
+        # holds it after the call: the peak above the pre-drawn paths is the
+        # term matrix plus well under two block buffers
+        spec, curve, tape = fixture_tape()
+        paths = generate(6, 5 * 10**4, 5)
+        est.grad_est1(tape, curve.knot_vols, paths, spec.prices)  # warm up
+        tracemalloc.start()
+        try:
+            est.grad_est1(tape, curve.knot_vols, paths, spec.prices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        terms_bytes = paths.n_paths * tape.n_params * 8
+        block_bytes = tape.alloc_buffer(est.BLOCK_PATHS).nbytes
+        assert peak <= terms_bytes + 2 * block_bytes
+
     def test_rejects_empty(self):
         tape = linear_toy_tape()
         empty = PathBatch(draws=np.zeros((0, 1)), seed=0, generator_id="philox")
@@ -406,8 +423,8 @@ class TestSerialSweep:
         paths = generate(17, est.BLOCK_PATHS + 321, 5)
         counted = tp.Tape.replay_reverse
 
-        def uncounted(self, buffer, seeds, *, counters=None):
-            return counted(self, buffer, seeds)
+        def uncounted(self, buffer, seeds, *, counters=None, **kwargs):
+            return counted(self, buffer, seeds, **kwargs)
 
         monkeypatch.setattr(tp.Tape, "replay_reverse", uncounted)
         for fn in (est.grad_est1, est.grad_est2, est.grad_est3):

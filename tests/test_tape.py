@@ -9,6 +9,7 @@ is also checked byte for byte against the node-by-node reference sweeps in
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -370,6 +371,69 @@ class TestBatch:
         tape.replay_reverse(buf, np.ones((4, 1)), counters=counters)
         assert counters.f_evals == 4
         assert counters.r_evals == 4
+
+
+class TestReplayLayout:
+    """Outputs are views of the buffer, seeds may be any strided view, and
+    the parameter adjoints can be written into a caller's array."""
+
+    def fixture_replay(self, lanes, seed=7):
+        spec, curve = mdl.default_fixture()
+        tape = mdl.build_model_tape(spec, curve)
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((lanes, tape.n_inputs))
+        seeds_lm = rng.standard_normal((tape.n_outputs, lanes))
+        return tape, curve.knot_vols, block, seeds_lm
+
+    def test_outputs_are_the_buffers_output_rows(self):
+        tape, params, block, _ = self.fixture_replay(16)
+        out, buf = tape.replay_forward(params, block)
+        rows = buf[-tape.n_outputs:]
+        assert out.shape == (16, tape.n_outputs)
+        assert np.shares_memory(out, rows) and (out.T == rows).all()
+        ref = oracle.forward(tape, params, block)
+        assert_same_bits(out, ref[tape.output_slots].T)
+
+    def test_out_is_filled_and_returned(self):
+        tape, params, block, seeds_lm = self.fixture_replay(16)
+        _, buf = tape.replay_forward(params, block)
+        fresh = tape.replay_reverse(buf, seeds_lm.T)
+        terms = np.full((20, tape.n_params), np.nan)
+        got = tape.replay_reverse(buf, seeds_lm.T, out=terms[2:18])
+        assert got.base is terms
+        assert_same_bits(terms[2:18], fresh)
+        assert np.isnan(terms[:2]).all() and np.isnan(terms[18:]).all()
+        for bad in (np.empty((15, tape.n_params)),
+                    np.empty((16, tape.n_params), dtype=np.float32)):
+            with pytest.raises(ValueError, match="out"):
+                tape.replay_reverse(buf, seeds_lm.T, out=bad)
+
+    @pytest.mark.parametrize("lanes", [1, 7, 2048])
+    def test_lane_major_seeds_match_contiguous(self, lanes):
+        tape, params, block, seeds_lm = self.fixture_replay(lanes)
+        _, buf = tape.replay_forward(params, block)
+        contiguous = np.ascontiguousarray(seeds_lm.T)
+        assert not seeds_lm.T.flags.c_contiguous or lanes == 1
+        assert_same_bits(tape.replay_reverse(buf, seeds_lm.T),
+                         tape.replay_reverse(buf, contiguous))
+
+    def test_bound_buffer_matches_and_is_released(self):
+        tape, params, block, seeds_lm = self.fixture_replay(64)
+        out, buf = tape.replay_forward(params, block)
+        expect = (out.copy(), tape.replay_reverse(buf, seeds_lm.T))
+        bound = tape.alloc_buffer(64)
+        with tape.bound(bound):
+            for p in (params, params * 1.1, params):
+                out = tape.replay_forward(p, block, buffer=bound)[0]
+                got = (out.copy(), tape.replay_reverse(bound, seeds_lm.T))
+            # the last lanes, as a lagged sweep reverses them: not bound
+            tail = tape.replay_reverse(bound[:, 10:], seeds_lm[:, 10:].T)
+        for a, b in zip(got, expect):
+            assert_same_bits(a, b)
+        assert_same_bits(tail, expect[1][10:])
+        released = weakref.ref(bound)
+        del bound, out
+        assert released() is None
 
 
 class TestCompiledReplay:
