@@ -436,6 +436,8 @@ def measure_correction_coefficients(tape: Tape, params, paths: PathBatch,
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     params = np.asarray(params, dtype=np.float64)
     if width == 1:
         return SpeedupReport(width=1, k_f=1.0, k_r=1.0,
@@ -448,7 +450,7 @@ def measure_correction_coefficients(tape: Tape, params, paths: PathBatch,
     # per run: scalar forward, scalar reverse, batched forward, batched reverse
     runs = np.array([_replay_cost(tape, params, paths.draws[:_SCALAR_PATHS], 1)
                      + _replay_cost(tape, params, paths.draws, width)
-                     for _ in range(max(1, repeats))])
+                     for _ in range(repeats)])
     k_f_runs = (width * runs[:, 2] / runs[:, 0]).tolist()
     k_r_runs = (width * runs[:, 3] / runs[:, 1]).tolist()
     t_sf, t_sr, t_bf, t_br = (np.median(runs, axis=0) * 1e6).tolist()
@@ -460,7 +462,7 @@ def measure_correction_coefficients(tape: Tape, params, paths: PathBatch,
         t_scalar_r_us=t_sr,
         t_batched_f_us=t_bf,
         t_batched_r_us=t_br,
-        repeats=max(1, repeats),
+        repeats=repeats,
         k_f_runs=k_f_runs,
         k_r_runs=k_r_runs,
     )

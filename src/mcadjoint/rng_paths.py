@@ -8,18 +8,17 @@ the inverse normal CDF applied to fixed-point uniforms in (0, 1).
 
 The draw matrix is filled in place in chunks of ``CHUNK_ROWS`` rows, each
 drawn from its own offset of the stream.  The caller's thread fills chunks
-and, on a request of more than one chunk, workers of one thread pool per
-process help, up to one thread per usable CPU (numpy's raw-word draw, casts
-and ``ndtri`` release the GIL).  Every element goes through the same
-operations whichever thread fills its chunk, so the bytes do not depend on
-the worker count.
+and, on a request of more than one chunk, helper threads started for that
+call help, up to one thread per usable CPU (numpy's raw-word draw, casts and
+``ndtri`` release the GIL); they are joined before the call returns.  Every
+element goes through the same operations whichever thread fills its chunk,
+so the bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +39,6 @@ GENERATOR_IDS = tuple(sorted(_GENERATORS))
 CHUNK_ROWS = 16384
 
 _INV_2_53 = 2.0 ** -53
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -67,28 +63,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _get_pool() -> ThreadPoolExecutor:
-    """The generation pool, created on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_usable_cpus(),
-                                       thread_name_prefix="rng_paths")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child has none of the parent's worker threads: submitting to
-    # the inherited executor would hang, so the child builds its own.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _raw_words(seed: int, generator_id: str, start: int, count: int) -> np.ndarray:
@@ -117,36 +91,40 @@ def _fill_rows(out: np.ndarray, seed: int, generator_id: str,
 def _fill(out: np.ndarray, seed: int, generator_id: str, start: int) -> None:
     """Rows [start, start + len(out)) into ``out``, chunk by chunk.
 
-    The caller fills chunks itself and pool workers help with the rest, so
-    a worker that starts late (its CPU busy elsewhere) holds up at most the
-    one chunk it took.
+    The caller fills chunks itself and helper threads, joined before this
+    returns, take the rest, so a helper that starts late (its CPU busy
+    elsewhere) holds up at most the one chunk it took.  The first failed
+    chunk ends the fill for every thread and is raised here.
     """
     n_rows = out.shape[0]
     los = iter(range(0, n_rows, CHUNK_ROWS))
     take = threading.Lock()
+    errors = []
 
     def drain() -> None:
         while True:
             with take:
-                lo = next(los, None)
+                lo = None if errors else next(los, None)
             if lo is None:
                 return
             try:
                 _fill_rows(out[lo:lo + CHUNK_ROWS], seed, generator_id,
                            start + lo)
-            except BaseException:
-                with take:  # a failed chunk ends the fill for every thread
-                    for _ in los:
-                        pass
-                raise
+            except BaseException as exc:  # re-raised after the join
+                errors.append(exc)
 
     n_helpers = min(_usable_cpus(), -(-n_rows // CHUNK_ROWS)) - 1
-    helpers = [_get_pool().submit(drain) for _ in range(n_helpers)]
+    helpers = [threading.Thread(target=drain, name="rng_paths")
+               for _ in range(n_helpers)]
+    for helper in helpers:
+        helper.start()
     try:
         drain()
     finally:
         for helper in helpers:
-            helper.result()
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 def generate(seed: int, n_paths: int, n_inputs: int,
@@ -169,9 +147,11 @@ def generate_rows(seed: int, generator_id: str, start: int, stop: int,
     """Rows [start, stop) of the draw matrix, without the preceding rows.
 
     Bit-identical to ``generate(...).draws[start:stop]``.  The rows are
-    filled in place in chunks, by the calling thread and the workers of the
-    generation pool; the bytes are the same for any number of workers.
+    filled in place in chunks, by the calling thread and helper threads
+    that end with the call; the bytes are the same for any thread count.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
     if stop < start:

@@ -1,0 +1,63 @@
+"""The pair tally of tools/bench_pairs.py on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+DECLARED = [{"name": "t", "unit": "s", "better": "lower", "bound": 0.25}]
+
+
+def run(pair, side, t, failed=0):
+    if t is None:  # the run crashed: no result line
+        return {"pair": pair, "side": side, "failed": None}
+    return {"pair": pair, "side": side, "failed": failed, "attempted": 10,
+            "metrics": {"t": t}}
+
+
+def pairs_of(parent, change, change_failed=()):
+    """Runs of pairs 0, 1, ...; ``change_failed`` maps a pair to failed ops."""
+    runs = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        runs += [run(i, "parent", p),
+                 run(i, "change", c, dict(change_failed).get(i, 0))]
+    return runs
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+def test_lower_is_better_with_a_tie():
+    change = [t - 0.2 for t in PARENT[:9]] + [PARENT[9]]
+    summary = bench_pairs.summarise(pairs_of(PARENT, change), DECLARED)
+    t = summary["metrics"]["t"]
+    assert (t["wins"], t["losses"], t["ties"], t["pairs"]) == (9, 0, 1, 10)
+    assert t["gain_rule_met"]
+    assert summary["crashed"] == {"parent": 0, "change": 0}
+
+
+@pytest.mark.parametrize("n_pairs", [5, 10])
+def test_crashed_change_run_is_not_won(n_pairs):
+    # every completed pair is won; one change run crashed
+    change = [t - 0.2 for t in PARENT[:n_pairs - 1]] + [None]
+    summary = bench_pairs.summarise(pairs_of(PARENT[:n_pairs], change),
+                                    DECLARED)
+    t = summary["metrics"]["t"]
+    assert (t["wins"], t["pairs"], t["complete_pairs"]) == (
+        n_pairs - 1, n_pairs, n_pairs - 1)
+    assert t["gain_rule_met"] == (n_pairs - 1 >= 0.9 * n_pairs)
+    assert summary["crashed"] == {"parent": 0, "change": 1}
+
+
+def test_more_failed_ops_than_parent_is_no_gain():
+    change = [t - 0.2 for t in PARENT]
+    summary = bench_pairs.summarise(pairs_of(PARENT, change, {3: 1}),
+                                    DECLARED)
+    t = summary["metrics"]["t"]
+    assert t["wins"] == 10 and not t["gain_rule_met"]
+    assert summary["fail_share"] == {"parent": 0.0, "change": 1 / 100}

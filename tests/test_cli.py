@@ -138,6 +138,21 @@ class TestMeasureSpeedup:
                        "--out", str(tmp_path / "o"), *argv])
         assert rc == 0 and seen == [repeats]
 
+    @pytest.mark.parametrize("argv, n_paths", [([], 100_000),
+                                               (["--nmc", "3e4,64"], 30_000)])
+    def test_nmc_taken_as_given(self, argv, n_paths, tmp_path, monkeypatch):
+        seen = []
+
+        def record(tape, params, paths, width, *, repeats):
+            seen.append(paths.n_paths)
+            return est.SpeedupReport(width, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+                                     repeats, [1.0] * repeats, [1.0] * repeats)
+
+        monkeypatch.setattr(est, "measure_correction_coefficients", record)
+        rc = cli.main(["measure-speedup", "--out", str(tmp_path / "o"),
+                       *argv])
+        assert rc == 0 and seen == [n_paths]
+
 
 class TestArgumentHandling:
     def test_flags_beat_config_file(self, tmp_path, market_file):
@@ -210,9 +225,13 @@ class TestArgumentHandling:
         (["gradient", "--repeats", "0"], "repeats must be >= 1"),
         (["variance-table", "--repeats", "-3"], "repeats must be >= 1"),
         (["calibrate", "--max-iter", "-1"], "max_iter must be >= 0"),
+        (["gradient", "--alg", "2.5", "--nmc", "600"],
+         "--alg: 2.5 is not an integer"),
+        (["gradient", "--nmc", "1500.5"], "--nmc: 1500.5 is not an integer"),
     ], ids=["gradient-empty-nmc", "speedup-empty-nmc", "inf-nmc", "inf-alg",
             "gradient-empty-alg", "table-empty-alg", "zero-repeats",
-            "negative-repeats", "negative-max-iter"])
+            "negative-repeats", "negative-max-iter", "fractional-alg",
+            "fractional-nmc"])
     def test_bad_value_fails_before_running(self, argv, message, tmp_path,
                                             capsys):
         rc = cli.main(argv + ["--out", str(tmp_path / "o")])

@@ -488,3 +488,11 @@ class TestSpeedupMeasurement:
         with pytest.raises(ValueError, match="width must be >= 1"):
             est.measure_correction_coefficients(tape, curve.knot_vols, paths,
                                                 width=width)
+
+    @pytest.mark.parametrize("repeats", [0, -3])
+    def test_repeats_below_one_rejected(self, repeats):
+        spec, curve, tape = fixture_tape()
+        paths = generate(19, 64, 5)
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            est.measure_correction_coefficients(tape, curve.knot_vols, paths,
+                                                8, repeats=repeats)

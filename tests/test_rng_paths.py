@@ -4,6 +4,7 @@ import os
 import select
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -100,7 +101,7 @@ class TestGenerate:
 
 
 class TestChunkedFill:
-    """The pooled in-place fill against the serial reference, byte for byte."""
+    """The threaded in-place fill against the serial reference, byte for byte."""
 
     @pytest.mark.parametrize("n_inputs", [1, 3, 5, 7])
     @pytest.mark.parametrize("n_paths", [2, C - 1, C, C + 1, 3 * C + 7,
@@ -113,25 +114,12 @@ class TestChunkedFill:
     @pytest.mark.parametrize("threads", [1, 4])
     def test_bytes_independent_of_thread_count(self, threads, monkeypatch):
         monkeypatch.setattr(rng, "_usable_cpus", lambda: threads)
-        monkeypatch.setattr(rng, "_pool", None)
-        try:
-            got = rng.generate(6, 5 * C + 11, 5).draws
-        finally:
-            if rng._pool is not None:
-                rng._pool.shutdown()
+        got = rng.generate(6, 5 * C + 11, 5).draws
         assert same_bytes(got, oracle.generate(6, 5 * C + 11, 5))
 
-    def test_concurrent_callers_share_pool(self, monkeypatch):
-        # four callers race to create the pool on first use, then share it
-        created = []
-
-        class CountedPool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.append(self)
-
-        monkeypatch.setattr(rng, "ThreadPoolExecutor", CountedPool)
-        monkeypatch.setattr(rng, "_pool", None)
+    def test_concurrent_callers_leave_no_threads(self, monkeypatch):
+        # four callers race, each with its own helper threads, and every
+        # helper is joined before its call returns
         monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
         cases = [(11, "philox", 3), (12, "pcg64", 5), (13, "philox", 7),
                  (14, "pcg64", 1)]
@@ -149,9 +137,8 @@ class TestChunkedFill:
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-            for pool in created:
-                pool.shutdown()
-        assert len(created) == 1
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("rng_paths")]
         for (seed, gen_id, m), got in zip(cases, results):
             assert same_bytes(got, oracle.generate(seed, n, m, gen_id))
 
@@ -176,6 +163,8 @@ class TestChunkedFill:
         ((3, "philox", 5, 3, 3), "stop"),
         ((3, "philox", 0, 4, 0), "n_inputs"),
         ((3, "mt19937", 0, 4, 3), "generator_id"),
+        ((-1, "philox", 0, 4, 3), "seed"),
+        ((2.5, "pcg64", 0, 4, 3), "seed"),
     ])
     def test_generate_rows_rejects_bad_arguments(self, args, name,
                                                  monkeypatch):

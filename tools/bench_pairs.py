@@ -10,12 +10,14 @@ pair to pair, and both runs of a pair use the same workload seed
 (``--seed`` plus the pair's index in this invocation).  An existing
 ``--out`` file is extended: its runs are kept and new pairs are numbered
 after them.  The output holds every run (its ``failed`` count and
-metrics), the environment of the first run, and per
-end-to-end metric of BENCHMARK.json: each side's median and quartiles, the
+metrics), the environment of the first run, each side's crashed runs and
+share of failed ops, and per end-to-end metric of BENCHMARK.json: each
+side's median and quartiles over the pairs where both sides completed, the
 pairs the change wins, loses and ties by the metric's ``better``
 direction, and whether the gain rule holds (wins in at least nine tenths
-of the pairs, and medians apart by more than the parent's interquartile
-range).
+of all pairs run, a pair with a crashed side counting as not won; medians
+apart by more than the parent's interquartile range; and no larger share
+of failed ops than the parent's).
 """
 
 from __future__ import annotations
@@ -55,12 +57,21 @@ def quartiles(values: list) -> dict:
 
 
 def summarise(runs: list, declared: list) -> dict:
-    """Per metric: both sides' medians and quartiles, and the pair tally."""
+    """Per side: crashed runs and the share of ops that failed.  Per metric:
+    both sides' medians and quartiles over the complete pairs, and the pair
+    tally over every pair run, where a pair missing a side is not won."""
     pairs = {}
     for run in runs:
+        pairs.setdefault(run["pair"], {})
         if run["failed"] is not None:
-            pairs.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+            pairs[run["pair"]][run["side"]] = run["metrics"]
     complete = [p for p in pairs.values() if len(p) == 2]
+    sides_runs = {s: [r for r in runs if r["side"] == s] for s in SIDES}
+    crashed = {s: sum(r["failed"] is None for r in rs)
+               for s, rs in sides_runs.items()}
+    fail_share = {s: sum(r["failed"] or 0 for r in rs)
+                  / max(1, sum(r.get("attempted", 0) for r in rs))
+                  for s, rs in sides_runs.items()}
     summary = {}
     for metric in declared:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -77,10 +88,12 @@ def summarise(runs: list, declared: list) -> dict:
             "ratio": (stats["change"]["median"] / stats["parent"]["median"]
                       if stats["parent"]["median"] else None),
             "wins": wins, "losses": sum(d < 0 for d in diffs),
-            "ties": sum(d == 0 for d in diffs), "pairs": len(complete),
-            "gain_rule_met": wins >= 0.9 * len(complete) and gap > parent_iqr,
+            "ties": sum(d == 0 for d in diffs), "pairs": len(pairs),
+            "complete_pairs": len(complete),
+            "gain_rule_met": (wins >= 0.9 * len(pairs) and gap > parent_iqr
+                              and fail_share["change"] <= fail_share["parent"]),
         }
-    return summary
+    return {"crashed": crashed, "fail_share": fail_share, "metrics": summary}
 
 
 def main(argv=None) -> int:
@@ -116,7 +129,7 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {pair} {side}: failed={run['failed']}",
                       file=sys.stderr)
         report["workloads"][workload] = {
-            "metrics": summarise(runs, declared["end_to_end"]), "runs": runs}
+            **summarise(runs, declared["end_to_end"]), "runs": runs}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
