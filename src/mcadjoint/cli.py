@@ -19,7 +19,7 @@ import csv
 import statistics
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -270,7 +270,8 @@ def _build_parser():
         description="Monte-Carlo adjoint gradient experiments",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    defaults = {f.name: f.default for f in fields(RunConfig)}
+    defaults = {k: ",".join(map(str, v)) if isinstance(v, list) else v
+                for k, v in vars(RunConfig(subcommand="")).items()}
     for name, help_text in [
         ("variance-table", "variance and wall time per (algorithm, N_mc)"),
         ("gradient", "gradient comparison across algorithms at fixed N_mc"),
@@ -281,7 +282,7 @@ def _build_parser():
         p.add_argument("--config", help="key=value file; flags override it")
         for key, (attr, _, help_text, commands) in _OPTIONS.items():
             if commands is None or name in commands:
-                if defaults[attr] not in (MISSING, None):
+                if defaults[attr] is not None:
                     help_text += f" (default {defaults[attr]})"
                 p.add_argument(_flag(key), dest=key, help=help_text)
     return parser

@@ -25,6 +25,14 @@ node, so a scalar replay (``Tape.forward``/``Tape.reverse``) is a one-lane
 block replay through the same schedules.  Elementwise ufuncs in numpy are
 lane-deterministic, which is what makes batch and scalar replay, and a
 scalar read of a hoisted invariant, bit-identical lane by lane.
+
+Non-finite values follow one contract at every replay width, one lane
+included.  A forward replay raises :class:`NonFiniteError` when an output is
+non-finite, naming the first node with a non-finite value; an intermediate
+that an output masks (``max0(-inf)`` is 0) is not an error.  A reverse sweep
+whose parameter adjoints are non-finite raises ``ValueError`` when a seed it
+reads is non-finite, and otherwise :class:`NonFiniteError` naming the node
+whose step first wrote a non-finite adjoint.
 """
 
 from __future__ import annotations
@@ -668,6 +676,7 @@ class Tape:
         row j holds sum_i seeds[j, i] * dy_i/dparam.  They are written into
         ``out`` when given (a float64 array of that shape, returned), else
         into a new array.  A non-finite parameter adjoint raises
+        ``ValueError`` when a seed the sweep reads is non-finite, else
         :class:`NonFiniteError` naming the first node, in sweep order, whose
         step wrote a non-finite adjoint among the adjoints that reach a
         parameter (adjoints of constants, inputs and other parameter-free
@@ -700,6 +709,8 @@ class Tape:
             # -0.0 that accumulating onto +0.0 would not: fold it here
             np.add(adj[self._grad_rows].T, 0.0, out=out)
             if not np.isfinite(out).all():
+                if not np.isfinite(seeds.T[self._seed_cols]).all():
+                    raise ValueError("adjoint seed entries must be finite")
                 self._reverse_sweep(rows, adj, seeds, locate=True)
         if counters is not None:
             counters.r_evals += n_lanes
@@ -725,38 +736,25 @@ class Tape:
 
     # -- one input set: a one-lane replay ------------------------------------
 
-    def _one_lane(self, inputs) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.shape != (self.n_inputs,):
-            raise ValueError(
-                f"expected {self.n_inputs} inputs, got shape {inputs.shape}"
-            )
-        return inputs[None, :]
+    def _one_lane(self, values, n, what) -> np.ndarray:
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (n,):
+            raise ValueError(f"expected {n} {what}, got shape {values.shape}")
+        return values[None, :]
 
     def forward(self, params, inputs) -> np.ndarray:
-        """Evaluate the recorded program on one input set. Pure.
-
-        A non-finite value at any live node raises, not only at an output.
-        """
-        outputs, buffer = self.replay_forward(params, self._one_lane(inputs))
-        # one-lane replay is cheap enough to locate any bad node exactly
-        inv = self._invariants(self._check_params(params))[2]
-        if not (np.all(np.isfinite(buffer)) and np.all(np.isfinite(inv))):
-            self._raise_non_finite(buffer, inv)
-        return outputs[0]
+        """Evaluate the recorded program on one input set: a one-lane
+        :meth:`replay_forward`. Pure."""
+        inputs = self._one_lane(inputs, self.n_inputs, "inputs")
+        return self.replay_forward(params, inputs)[0][0]
 
     def reverse(self, params, inputs, seed) -> np.ndarray:
         """Adjoints w.r.t. all parameters of one input set, weighted by
-        ``seed`` (one finite weight per output)."""
-        lam = np.asarray(seed, dtype=np.float64)
-        if lam.shape != (self.n_outputs,):
-            raise ValueError(
-                f"expected {self.n_outputs} seed weights, got shape {lam.shape}"
-            )
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("adjoint seed entries must be finite")
-        _, buffer = self.replay_forward(params, self._one_lane(inputs))
-        return self.replay_reverse(buffer, lam[None, :])[0]
+        ``seed`` (one weight per output): a one-lane :meth:`replay_reverse`."""
+        seeds = self._one_lane(seed, self.n_outputs, "seed weights")
+        inputs = self._one_lane(inputs, self.n_inputs, "inputs")
+        return self.replay_reverse(self.replay_forward(params, inputs)[1],
+                                   seeds)[0]
 
 
 def record(program, n_params: int, n_inputs: int) -> Tape:

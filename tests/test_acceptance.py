@@ -14,7 +14,6 @@ import pytest
 import mcadjoint.estimators as est
 import mcadjoint.model as mdl
 import mcadjoint.tape as tp
-from mcadjoint.model import bs_vega
 from mcadjoint.optimizer import LbfgsConfig, calibrate
 from mcadjoint.rng_paths import generate
 

@@ -61,3 +61,27 @@ def test_more_failed_ops_than_parent_is_no_gain():
     t = summary["metrics"]["t"]
     assert t["wins"] == 10 and not t["gain_rule_met"]
     assert summary["fail_share"] == {"parent": 0.0, "change": 1 / 100}
+
+
+@pytest.mark.parametrize("loss, within", [(0.10, True), (0.30, False)])
+def test_bound_rule(loss, within):
+    # a uniform loss against the 0.25 bound, parent spread far inside it
+    change = [v * (1 + loss) for v in PARENT]
+    summary = bench_pairs.summarise(pairs_of(PARENT, change), DECLARED)
+    t = summary["metrics"]["t"]
+    assert t["within_bound"] == within
+    assert not t["unresolved"] and not t["gain_rule_met"]
+
+
+def test_parent_spread_wider_than_bound_is_unresolved():
+    parent = [0.5, 1.5, 0.6, 1.4, 1.0, 0.7, 1.3, 0.8, 1.2, 1.0]
+    t = bench_pairs.summarise(pairs_of(parent, parent[::-1]),
+                              DECLARED)["metrics"]["t"]
+    spread = t["parent"]["q3"] - t["parent"]["q1"]
+    assert spread > 0.25 * t["parent"]["median"]
+    assert t["within_bound"] and t["unresolved"]
+    # the same spread resolves when every change run beats every parent run
+    change = [v * 0.3 for v in parent]
+    summary = bench_pairs.summarise(pairs_of(parent, change), DECLARED)
+    t = summary["metrics"]["t"]
+    assert not t["unresolved"]

@@ -1,5 +1,7 @@
 """Command-line harness: subcommands, CSV round-trips, flag precedence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,23 @@ class TestMeasureSpeedup:
 
 
 class TestArgumentHandling:
+    @pytest.mark.parametrize("subcommand", list(cli._COMMANDS))
+    def test_help_states_every_default(self, subcommand, capsys):
+        with pytest.raises(SystemExit):
+            cli.main([subcommand, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        # the option entries, each "--flag METAVAR help text"
+        entries = {e.split()[0]: e
+                   for e in re.split(r" (?=--[a-z-]+ [A-Z_]+ )", text)[1:]}
+        config = cli.RunConfig(subcommand=subcommand)
+        for key, (attr, *_, commands) in cli._OPTIONS.items():
+            shown = commands is None or subcommand in commands
+            if shown and getattr(config, attr) is not None:
+                assert "(default" in entries[cli._flag(key)], key
+        assert "(default 100000,1000000)" in entries["--nmc"]
+        if "--alg" in entries:
+            assert "(default 1,2,3)" in entries["--alg"]
+
     def test_flags_beat_config_file(self, tmp_path, market_file):
         conf = tmp_path / "run.cfg"
         conf.write_text("seed = 5\nnmc = 600\nalg = 2\n")

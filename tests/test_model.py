@@ -313,6 +313,8 @@ class TestModelTape:
             sig = mdl.vol_at(curve, o.expiry)
             fd_vega = (mdl.black_scholes_call(spec.spot, o.strike, sig + h, o.expiry)
                        - mdl.black_scholes_call(spec.spot, o.strike, sig - h, o.expiry)) / (2 * h)
+            assert mdl.bs_vega(spec.spot, o.strike, sig, o.expiry) == \
+                pytest.approx(fd_vega, rel=1e-6)
             mean = per_path[:, i].mean()
             se = per_path[:, i].std(ddof=1) / math.sqrt(paths.n_paths)
             assert abs(mean - fd_vega) < 3 * se

@@ -108,6 +108,20 @@ class TestLbfgs:
         assert np.isnan(trace.records[-1].loss)
         np.testing.assert_array_equal(x, trace.records[-1].params)
 
+    def test_non_finite_gradient_at_accepted_step_aborts(self):
+        # the value is finite and falls, so the first probe is accepted, but
+        # the gradient there is NaN: stop before recording the new point
+        x0 = np.array([3.0, -4.0])
+
+        def fg(x):
+            g = x.copy() if (x == x0).all() else np.full_like(x, np.nan)
+            return 0.5 * float(x @ x), g
+
+        x, trace = lbfgs_minimize(fg, x0, LbfgsConfig(max_iter=10))
+        assert trace.status == "non_finite_abort"
+        assert len(trace) == 1
+        np.testing.assert_array_equal(x, x0)
+
     def test_projection_respects_floor(self):
         x, _ = lbfgs_minimize(quadratic, np.array([3.0, -4.0]),
                               LbfgsConfig(max_iter=30, param_floor=0.5))

@@ -258,6 +258,20 @@ class TestReverse:
             oracle = fd_gradient(tape, params, inputs, np.array([1.0]))
             np.testing.assert_allclose(grad, oracle, rtol=1e-5)
 
+    def test_reflected_sub_and_div(self):
+        # 2.0 - u and 3.0 / u trace with the literal as the left operand
+        tape = tp.record(lambda p, w: [2.0 - p[0] * w[0],
+                                       3.0 / (p[0] * w[0])],
+                         n_params=1, n_inputs=1)
+        for a, x in ((0.7, 1.3), (-1.1, 0.4)):
+            u = np.float64(a) * np.float64(x)
+            assert_same_bits(tape.forward([a], [x]),
+                             np.array([2.0 - u, 3.0 / u]))
+            np.testing.assert_allclose(tape.reverse([a], [x], [1.0, 0.0]), [-x],
+                                       rtol=1e-15)
+            np.testing.assert_allclose(tape.reverse([a], [x], [0.0, 1.0]),
+                                       [-3.0 / (a * a * x)], rtol=1e-14)
+
     def test_kink_derivative_defined_as_zero(self):
         tape = tp.record(lambda p, w: [tp.max0(p[0])], n_params=1, n_inputs=0)
         assert tape.reverse([0.0], [], [1.0])[0] == 0.0
@@ -547,3 +561,36 @@ class TestCompiledReplay:
                 tape.replay_reverse(buf, seeds)
             assert exc.value.node_index == oracle.reverse(tape, ref, seeds,
                                                           locate=True)
+
+
+class TestNonFiniteContract:
+    """One lane behaves the same at every replay width: the same value, or
+    the same exception naming the same node."""
+
+    @pytest.mark.parametrize("lanes", [1, 8])
+    def test_masked_overflow_same_at_every_width(self, lanes):
+        # exp(1000) overflows, max0(-inf) masks it: the output is 0.0, but
+        # the exp step's adjoint is 0 * inf
+        tape = tp.record(lambda p, w: [tp.max0(-tp.exp(p[0] * w[0]))],
+                         n_params=1, n_inputs=1)
+        assert tape.op_name(3) == "exp"
+        out, buf = tape.replay_forward([1000.0], np.ones((lanes, 1)))
+        assert (out == 0.0).all()
+        assert tape.forward([1000.0], [1.0])[0] == 0.0
+        for call in (lambda: tape.replay_reverse(buf, np.ones((lanes, 1))),
+                     lambda: tape.reverse([1000.0], [1.0], [1.0])):
+            with pytest.raises(tp.NonFiniteError, match="exp") as exc:
+                call()
+            assert exc.value.node_index == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_seed_in_one_lane_is_a_value_error(self, bad):
+        spec, curve = mdl.default_fixture()
+        tape = mdl.build_model_tape(spec, curve)
+        rng = np.random.default_rng(8)
+        _, buf = tape.replay_forward(curve.knot_vols,
+                                     rng.standard_normal((8, tape.n_inputs)))
+        seeds = rng.standard_normal((8, tape.n_outputs))
+        seeds[5, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tape.replay_reverse(buf, seeds)

@@ -17,7 +17,11 @@ pairs the change wins, loses and ties by the metric's ``better``
 direction, and whether the gain rule holds (wins in at least nine tenths
 of all pairs run, a pair with a crashed side counting as not won; medians
 apart by more than the parent's interquartile range; and no larger share
-of failed ops than the parent's).
+of failed ops than the parent's).  It also holds the bound rule that every
+change must meet: ``within_bound`` when the change's median is no worse
+than the parent's by more than the metric's ``bound`` times the parent's
+median, and ``unresolved`` when the parent's interquartile range is wider
+than that margin and not every change run beats every parent run.
 """
 
 from __future__ import annotations
@@ -58,8 +62,9 @@ def quartiles(values: list) -> dict:
 
 def summarise(runs: list, declared: list) -> dict:
     """Per side: crashed runs and the share of ops that failed.  Per metric:
-    both sides' medians and quartiles over the complete pairs, and the pair
-    tally over every pair run, where a pair missing a side is not won."""
+    both sides' medians and quartiles over the complete pairs, the pair
+    tally over every pair run, where a pair missing a side is not won, and
+    the gain and bound rules (see the module docstring)."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})
@@ -83,6 +88,9 @@ def summarise(runs: list, declared: list) -> dict:
         parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
         gap = sign * (stats["change"]["median"] - stats["parent"]["median"])
         wins = sum(d > 0 for d in diffs)
+        margin = metric["bound"] * abs(stats["parent"]["median"])
+        separated = (min(sign * c for c in sides["change"])
+                     > max(sign * p for p in sides["parent"]))
         summary[name] = {
             "unit": metric["unit"], "better": metric["better"], **stats,
             "ratio": (stats["change"]["median"] / stats["parent"]["median"]
@@ -92,6 +100,8 @@ def summarise(runs: list, declared: list) -> dict:
             "complete_pairs": len(complete),
             "gain_rule_met": (wins >= 0.9 * len(pairs) and gap > parent_iqr
                               and fail_share["change"] <= fail_share["parent"]),
+            "within_bound": gap >= -margin,
+            "unresolved": parent_iqr > margin and not separated,
         }
     return {"crashed": crashed, "fail_share": fail_share, "metrics": summary}
 
