@@ -169,8 +169,11 @@ def cmd_gradient(cfg: RunConfig):
         spread = np.zeros(m)
         for i, a in enumerate(algs):
             for b in algs[i + 1:]:
+                # two zero gradients are equal: spread 0, not 0/0
                 denom = np.maximum(np.abs(grads[a]), np.abs(grads[b]))
-                spread = np.maximum(spread, np.abs(grads[a] - grads[b]) / denom)
+                spread = np.maximum(spread, np.divide(
+                    np.abs(grads[a] - grads[b]), denom, out=np.zeros(m),
+                    where=denom > 0))
         print("\nmax pairwise relative spread per coordinate:")
         print("  " + "  ".join(f"{s:.3e}" for s in spread))
     return path

@@ -27,9 +27,11 @@ gradient, estimates the per-coordinate variance of the estimator from the
 same rows, and carries exact scalar-equivalent forward/reverse evaluation
 counts that are checked against their closed forms on every run.
 
-Paths are processed one block of about ``BLOCK_PATHS`` at a time, in path
-order, with lane-wise vectorized replay; running sums are taken in path
-order, so with the lane determinism of the engine the result is
+Paths are processed one block at a time, in path order, with lane-wise
+vectorized replay: ``n_paths // 64`` paths per block, clamped to [2048,
+``BLOCK_PATHS``] and rounded down to a multiple of the lag, so long runs
+pay the per-step dispatch of fewer, wider blocks.  Running sums are taken
+in path order, so with the lane determinism of the engine the result is
 independent of the blocking.  Every pass of an estimate replays into one
 block buffer, bound to the tape (``Tape.bound``) so that its row views are
 built once.  The seeding steps work lane-major, as the buffer holds the
@@ -60,11 +62,11 @@ __all__ = [
     "BLOCK_PATHS",
 ]
 
-# internal vectorization width (paths per replay block): large enough to
-# amortize per-node dispatch, small enough to keep a block's buffers (one
-# double per path per buffer row, a parameter or lane-dependent node: 40 of
-# the default fixture's 75 nodes, 0.66 MB) small
-BLOCK_PATHS = 2048
+# widest replay block (paths; see _block_ranges): wide enough to amortize
+# per-step dispatch, narrow enough to keep a block's buffers (one double per
+# path per buffer row, a parameter or lane-dependent node: 40 of the default
+# fixture's 75 nodes, 2.6 MB at 8192 lanes, 0.66 MB at 2048) small
+BLOCK_PATHS = 8192
 # rows per chunk of algorithm 1's variance reduction; fixed, so that the
 # variance does not depend on the blocking
 _VAR_ROWS = 4096
@@ -163,8 +165,10 @@ def _variance_or_nan(terms, algorithm, batch_count) -> np.ndarray:
 
 
 def _block_ranges(n_paths: int, lag: int):
-    """Blocks of about BLOCK_PATHS paths, each starting at a multiple of lag."""
-    size = max(lag, BLOCK_PATHS // lag * lag)
+    """Blocks of n_paths // 64 paths, clamped to [2048, BLOCK_PATHS] and
+    rounded down to a multiple of lag (never below lag), in path order."""
+    width = min(BLOCK_PATHS, max(2048, n_paths // 64))
+    size = max(lag, width // lag * lag)
     return [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 

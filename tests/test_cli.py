@@ -71,6 +71,23 @@ class TestGradient:
         _, rows = cli.read_csv_table(path)
         assert len(rows) == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_gradient_coordinate_has_zero_spread(self, tmp_path, capsys):
+        # no option expires after the second knot, so the third knot's
+        # gradient is exactly zero under every algorithm: spread 0, not 0/0
+        market = tmp_path / "market.cfg"
+        market.write_text("spot = 100.0\nknot = 1 0.3\nknot = 2 0.3\n"
+                          "knot = 3 0.3\noption = 100 1 8.0\n"
+                          "option = 105 2 9.0\n")
+        cfg = run_config(tmp_path, market, n_mc_list=[2000])
+        _, rows = cli.read_csv_table(cli.cmd_gradient(cfg))
+        assert [row[-1] for row in rows] == [0.0, 0.0, 0.0]
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("max pairwise relative spread per coordinate:")
+        spread = [float(v) for v in lines[at + 1].split()]
+        assert len(spread) == 3 and np.isfinite(spread).all()
+        assert spread[2] == 0.0
+
     def test_seed_reproducibility(self, tmp_path, market_file):
         cfg = run_config(tmp_path, market_file, n_mc_list=[1500])
         a = cli.read_csv_table(cli.cmd_gradient(cfg))

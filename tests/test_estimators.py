@@ -129,11 +129,19 @@ class TestAlgorithm1:
         assert peak < terms_bytes + 2e6
 
     def test_peak_within_two_block_buffers(self):
+        self.check_peak_within_two_block_buffers(5 * 10**4, 2048)
+
+    def test_peak_within_two_block_buffers_at_full_width(self):
+        self.check_peak_within_two_block_buffers(2**19, 8192)
+
+    @staticmethod
+    def check_peak_within_two_block_buffers(n, lanes):
         # both passes share one block buffer, and nothing the tape keeps
         # holds it after the call: the peak above the pre-drawn paths is the
-        # term matrix plus well under two block buffers
+        # term matrix plus well under two buffers of the width the run uses
         spec, curve, tape = fixture_tape()
-        paths = generate(6, 5 * 10**4, 5)
+        paths = generate(6, n, 5)
+        assert est._block_ranges(n, 1)[0] == (0, lanes)
         est.grad_est1(tape, curve.knot_vols, paths, spec.prices)  # warm up
         tracemalloc.start()
         try:
@@ -142,7 +150,7 @@ class TestAlgorithm1:
         finally:
             tracemalloc.stop()
         terms_bytes = paths.n_paths * tape.n_params * 8
-        block_bytes = tape.alloc_buffer(est.BLOCK_PATHS).nbytes
+        block_bytes = tape.alloc_buffer(lanes).nbytes
         assert peak <= terms_bytes + 2 * block_bytes
 
     def test_rejects_empty(self):
@@ -357,6 +365,14 @@ class TestBatched:
                                  width=8)
 
 
+def every_estimate(tape, params, paths, targets):
+    """grad_est1/2/3, then grad_est_batched(1/2/3) at width 8."""
+    return ([fn(tape, params, paths, targets)
+             for fn in (est.grad_est1, est.grad_est2, est.grad_est3)]
+            + [est.grad_est_batched(alg, tape, params, paths, targets, width=8)
+               for alg in (1, 2, 3)])
+
+
 class TestBlocking:
     def test_block_size_does_not_change_results(self, monkeypatch):
         spec, curve, tape = fixture_tape()
@@ -364,13 +380,57 @@ class TestBlocking:
         runs = []
         for block in (2048, 96):
             monkeypatch.setattr(est, "BLOCK_PATHS", block)
-            runs.append([fn(tape, curve.knot_vols, paths, spec.prices)
-                         for fn in (est.grad_est1, est.grad_est2, est.grad_est3)]
-                        + [est.grad_est_batched(alg, tape, curve.knot_vols,
-                                                paths, spec.prices, width=8)
-                           for alg in (1, 2, 3)])
+            runs.append(every_estimate(tape, curve.knot_vols, paths,
+                                       spec.prices))
         for a, b in zip(*runs):
             assert (a.grad == b.grad).all() and (a.variance == b.variance).all()
+
+    def test_run_sized_blocks_match_narrow_blocks(self, monkeypatch):
+        # 300 017 paths get 4687-lane blocks (4680 at lag 8) and a ragged
+        # tail; forced 1024-lane blocks give the same bits
+        spec, curve, tape = fixture_tape()
+        n = 300_017
+        assert est._block_ranges(n, 1)[0] == (0, 4687)
+        assert est._block_ranges(n, 8)[0] == (0, 4680)
+        paths = generate(22, n, 5)
+        wide = every_estimate(tape, curve.knot_vols, paths, spec.prices)
+        monkeypatch.setattr(est, "BLOCK_PATHS", 1024)
+        assert est._block_ranges(n, 1)[0] == (0, 1024)
+        narrow = every_estimate(tape, curve.knot_vols, paths, spec.prices)
+        for a, b in zip(wide, narrow):
+            assert (a.grad == b.grad).all() and (a.variance == b.variance).all()
+            assert (a.f_evals, a.r_evals) == (b.f_evals, b.r_evals)
+
+
+class TestBlockWidthRule:
+    @pytest.mark.parametrize("n, lanes", [
+        (5 * 10**4, 2048), (131_071, 2048), (131_072, 2048),
+        (300_017, 4687), (2**19, 8192), (10**6, 8192),
+    ])
+    def test_width_is_n_over_64_clamped(self, n, lanes):
+        ranges = est._block_ranges(n, 1)
+        assert ranges[0] == (0, lanes)
+        assert all(hi - lo == lanes for lo, hi in ranges[:-1])
+
+    @pytest.mark.parametrize("n, lag, size", [
+        (5 * 10**4, 8, 2048), (5 * 10**4, 40, 2040),
+        (300_017, 8, 4680), (300_017, 40, 4680),
+        (10**6, 8, 8192), (10**6, 40, 8160),
+    ])
+    def test_blocks_start_at_multiples_of_the_lag(self, n, lag, size):
+        ranges = est._block_ranges(n, lag)
+        assert ranges[0] == (0, size)
+        assert all(lo % lag == 0 for lo, _ in ranges)
+        # contiguous, in path order, covering every path
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == n
+
+    @pytest.mark.parametrize("n, lag", [(5 * 10**4, 3000), (10**6, 10_000)])
+    def test_lag_wider_than_the_width_gets_one_chunk_blocks(self, n, lag):
+        ranges = est._block_ranges(n, lag)
+        assert all(hi - lo == lag for lo, hi in ranges[:-1])
+        lo, hi = ranges[-1]
+        assert lo % lag == 0 and 0 < hi - lo <= lag and hi == n
 
 
 class TestInputChecks:

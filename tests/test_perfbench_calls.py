@@ -49,10 +49,13 @@ def test_traced_batched_run(bench_root):
 
 
 def test_untraced_run_reports_end_to_end_metrics(bench_root):
-    # calibrate-1e5 also runs that workload's checks on three calibrations:
-    # whole-call F/R counts, the fitted-vol tolerance and no non-finite abort
+    # each run also runs its workload's checks: grad-1e6 on three ops per
+    # algorithm at 8192-lane replay blocks (closed-form F/R counts, the
+    # gradient within 8 SE, tape == payoffs), calibrate-1e5 on three
+    # calibrations (whole-call F/R counts, the fitted-vol tolerance, no
+    # non-finite abort)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    for workload in ("batched-w8", "calibrate-1e5"):
+    for workload in ("batched-w8", "calibrate-1e5", "grad-1e6"):
         stdout = run(bench_root, "perfbench/run.py", "--workload", workload,
                      "--seed", "1", "--seconds", "0", "--trace", "0")
         result = json.loads(stdout.strip().splitlines()[-1])
