@@ -39,6 +39,9 @@ __all__ = [
     "default_fixture",
 ]
 
+# paths per payoff block in ``loss``
+_LOSS_ROWS = 8192
+
 
 def _check_finite(**fields) -> None:
     for name, value in fields.items():
@@ -224,11 +227,25 @@ def payoffs(spec: MarketSpec, curve: VolCurve, w):
 
 
 def loss(spec: MarketSpec, curve: VolCurve, paths: PathBatch) -> LossValue:
-    """Monte-Carlo calibration loss over a path batch."""
-    if paths.n_paths < 1:
+    """Monte-Carlo calibration loss over a path batch.
+
+    ``payoffs`` runs on blocks of ``_LOSS_ROWS`` paths, so no
+    (n_paths, n_options) payoff matrix is formed and a block's payoffs and
+    temporaries stay cache-sized.  The running sum of the payoffs is row 0
+    of a stack over each block, so rows add in path order.  For two or more
+    options ``y.mean(axis=0)`` adds in that order too, and ``expectations``
+    is bit-identical to the full-matrix mean; numpy sums a lone column
+    pairwise, so for one option the two differ in the last bits.
+    """
+    n = paths.n_paths
+    if n < 1:
         raise ValueError("paths must be nonempty")
-    y = payoffs(spec, curve, paths.draws)
-    expectations = y.mean(axis=0)
+    stack = np.zeros((min(n, _LOSS_ROWS) + 1, spec.n_options))
+    for lo in range(0, n, _LOSS_ROWS):
+        y = payoffs(spec, curve, paths.draws[lo: lo + _LOSS_ROWS])
+        stack[1: len(y) + 1] = y
+        stack[0] = np.einsum("ij->j", stack[: len(y) + 1])
+    expectations = stack[0] / n
     residuals = expectations - spec.prices
     g = 0.5 * float(residuals @ residuals)
     return LossValue(g=g, expectations=expectations, residuals=residuals)

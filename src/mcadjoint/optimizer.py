@@ -226,6 +226,8 @@ def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
     """
     if algorithm not in _ESTIMATORS:
         raise ValueError(f"algorithm must be 1, 2 or 3, got {algorithm}")
+    rng._check_integer("seed", seed)
+    rng._check_integer("n_mc", n_mc)
     if n_mc < 2:
         raise ValueError(f"n_mc must be >= 2 paths per iteration, got {n_mc}")
     config = config or _CALIBRATION

@@ -127,12 +127,23 @@ def _fill(out: np.ndarray, seed: int, generator_id: str, start: int) -> None:
         raise errors[0]
 
 
+def _check_integer(name: str, value, low: int = 0) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer >= low.
+
+    With the default bound this is the seed rule of every draw, which
+    ``optimizer.calibrate`` applies to its seed too.
+    """
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def generate(seed: int, n_paths: int, n_inputs: int,
              generator_id: str = "philox") -> PathBatch:
     """Materialize the full n_paths x n_inputs draw matrix. Deterministic.
 
     The draws are ``generate_rows`` over rows [0, n_paths).
     """
+    _check_integer("n_paths", n_paths)
     if n_paths < 2:
         raise ValueError(
             "n_paths must be >= 2: the lagged estimators (algorithms 2 and 3) "
@@ -150,18 +161,14 @@ def generate_rows(seed: int, generator_id: str, start: int, stop: int,
     filled in place in chunks, by the calling thread and helper threads
     that end with the call; the bytes are the same for any thread count.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if start < 0:
-        raise ValueError(f"start must be >= 0, got {start}")
-    if stop < start:
-        raise ValueError(f"stop must be >= start, got stop={stop} < start={start}")
+    _check_integer("seed", seed)
+    _check_integer("start", start)
+    _check_integer("stop", stop, start)
     if generator_id not in _GENERATORS:
         raise ValueError(
             f"unknown generator_id {generator_id!r}; choose from {GENERATOR_IDS}"
         )
-    if n_inputs < 1:
-        raise ValueError("n_inputs must be >= 1")
+    _check_integer("n_inputs", n_inputs, 1)
     rows = np.empty((stop - start, n_inputs))
     _fill(rows, seed, generator_id, start)
     return rows

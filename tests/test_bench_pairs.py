@@ -85,3 +85,23 @@ def test_parent_spread_wider_than_bound_is_unresolved():
     summary = bench_pairs.summarise(pairs_of(parent, change), DECLARED)
     t = summary["metrics"]["t"]
     assert not t["unresolved"]
+
+
+STUB_RUN = '''import json
+print(json.dumps({"env": {"nproc": 2}, "workload": "w", "trace": 0,
+                  "import_s": 0.31, "setup_repeats_s": [0.03, 0.02, 0.025],
+                  "ops": []}))
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"setup_s": {"value": 0.335, "unit": "s"}}}))
+'''
+
+
+def test_run_once_keeps_import_and_setup_times(tmp_path):
+    # a checkout whose benchmark prints the env line and the result line
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
+    run = bench_pairs.run_once(tmp_path, "w", 1, 0.0)
+    assert run == {"returncode": 0, "failed": 0, "attempted": 3,
+                   "env": {"nproc": 2}, "import_s": 0.31,
+                   "setup_repeats_s": [0.03, 0.02, 0.025],
+                   "metrics": {"setup_s": 0.335}}

@@ -7,14 +7,16 @@ are validated against the closed form.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import mcadjoint.model as mdl
-from mcadjoint import generate
+from mcadjoint import PathBatch, generate
 from mcadjoint.model import MarketSpec, OptionQuote, VolCurve
+from mcadjoint.rng_paths import generate_rows
 
 
 TWO_KNOTS = VolCurve([1.0, 2.0], [0.2, 0.3])
@@ -184,6 +186,62 @@ class TestLoss:
         # propagate the expectation error bars through g
         g_err = float(np.abs(lv.expectations - spec.prices) @ (3 * se)) + float(se @ se)
         assert abs(lv.g - g_bs) < 3 * g_err
+
+
+def _paths(seed, n, n_drivers):
+    return PathBatch(generate_rows(seed, "philox", 0, n, n_drivers), seed,
+                     "philox")
+
+
+TWO_OPTIONS = MarketSpec(spot=100.0, options=(OptionQuote(95.0, 1.0, 9.0),
+                                              OptionQuote(110.0, 2.0, 7.0)))
+ONE_OPTION = MarketSpec(spot=100.0, options=(OptionQuote(100.0, 1.0, 8.0),))
+
+
+class TestBlockedLoss:
+    """``loss`` sums the payoffs block by block; it keeps the full-matrix
+    formula's bits and holds no (n_paths, n_options) matrix."""
+
+    def test_block_is_8192_paths(self):
+        # the path counts below straddle this block size
+        assert mdl._LOSS_ROWS == 8192
+
+    @pytest.mark.parametrize("n", [1, 2, 8191, 8192, 8193, 3 * 8192 + 17])
+    @pytest.mark.parametrize("market", ["default", "two options"])
+    def test_equals_full_matrix_formula_bitwise(self, n, market):
+        spec, curve = (mdl.default_fixture() if market == "default"
+                       else (TWO_OPTIONS, TWO_KNOTS))
+        paths = _paths(5, n, spec.n_drivers)
+        expectations = mdl.payoffs(spec, curve, paths.draws).mean(axis=0)
+        residuals = expectations - spec.prices
+        lv = mdl.loss(spec, curve, paths)
+        assert lv.expectations.tobytes() == expectations.tobytes()
+        assert lv.residuals.tobytes() == residuals.tobytes()
+        assert lv.g == 0.5 * float(residuals @ residuals)
+
+    @pytest.mark.parametrize("n", [2, 8193, 3 * 8192 + 17, 10**5])
+    def test_one_option_within_summation_error(self, n):
+        # numpy sums a lone column pairwise, loss in path order; for n
+        # non-negative terms either sum is within (n - 1) u of the exact one
+        # (u = eps / 2), so the two means are within n eps of each other
+        curve = VolCurve([1.0], [0.2])
+        paths = _paths(6, n, 1)
+        full = mdl.payoffs(ONE_OPTION, curve, paths.draws).mean(axis=0)
+        lv = mdl.loss(ONE_OPTION, curve, paths)
+        assert abs(lv.expectations[0] - full[0]) <= \
+            n * np.finfo(float).eps * full[0]
+
+    def test_peak_memory_independent_of_path_count(self):
+        spec, curve = mdl.default_fixture()
+        paths = generate(8, 10**5, spec.n_drivers)
+        tracemalloc.start()
+        try:
+            mdl.loss(spec, curve, paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (10^5, 5) payoff matrix alone is 4 MB
+        assert peak < 2e6
 
 
 class TestBlackScholes:

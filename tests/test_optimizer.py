@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mcadjoint.model as mdl
+import mcadjoint.optimizer as opt
 from mcadjoint.optimizer import (
     CalibrationTrace,
     LbfgsConfig,
@@ -212,6 +213,59 @@ class TestCalibrate:
         spec, curve = mdl.default_fixture()
         with pytest.raises(ValueError, match="n_mc must be >= 2 paths"):
             calibrate(spec, curve, algorithm, 1, seed=1)
+
+    @pytest.mark.parametrize("n_mc, seed, name", [
+        (1000, 1.5, "seed"), (1000, -1, "seed"), (1000, np.float64(2), "seed"),
+        (1e4, 1, "n_mc"), (np.float64(1000), 1, "n_mc"),
+    ])
+    def test_bad_seed_or_path_count_rejected(self, n_mc, seed, name):
+        spec, curve = mdl.default_fixture()
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            calibrate(spec, curve, 1, n_mc, seed=seed)
+
+    @pytest.mark.parametrize("algorithm", [1, 2, 3])
+    def test_one_loss_call_per_gradient_and_probe(self, algorithm,
+                                                  monkeypatch):
+        # the benchmark reads model.loss calls and optimizer value/gradient
+        # calls from this accounting
+        spec, curve = mdl.default_fixture()
+        n_mc = 2000
+        calls = {"loss": 0, "grad": 0, "probe": 0, "est_f": 0, "est_r": 0}
+        loss, estimator, minimize = (mdl.loss, opt._ESTIMATORS[algorithm],
+                                     opt.lbfgs_minimize)
+
+        def counted_loss(*args):
+            calls["loss"] += 1
+            return loss(*args)
+
+        def counted_estimator(*args, **kwargs):
+            est = estimator(*args, **kwargs)
+            calls["est_f"] += est.f_evals
+            calls["est_r"] += est.r_evals
+            return est
+
+        def counted_minimize(fg, x0, config, *, value_fn, **kwargs):
+            def grad(x):
+                calls["grad"] += 1
+                return fg(x)
+
+            def probe(x):
+                calls["probe"] += 1
+                return value_fn(x)
+
+            return minimize(grad, x0, config, value_fn=probe, **kwargs)
+
+        monkeypatch.setattr(mdl, "loss", counted_loss)
+        monkeypatch.setitem(opt._ESTIMATORS, algorithm, counted_estimator)
+        monkeypatch.setattr(opt, "lbfgs_minimize", counted_minimize)
+        _, trace = calibrate(spec, curve, algorithm, n_mc, seed=4,
+                             config=LbfgsConfig(max_iter=3))
+        # the last record follows every call: no probe ran after it
+        assert trace.status == "max_iter" and calls["probe"] >= 3
+        assert calls["loss"] == calls["grad"] + calls["probe"]
+        assert trace.records[-1].f_evals == \
+            calls["est_f"] + n_mc * calls["loss"]
+        assert trace.records[-1].r_evals == calls["est_r"]
 
     def test_algorithm_validation(self):
         spec, curve = mdl.default_fixture()

@@ -46,6 +46,15 @@ class TestGenerate:
         with pytest.raises(ValueError):
             rng.generate(1, 4, 0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((1, 1e4, 5), "n_paths"),
+        ((1, np.float64(16), 5), "n_paths"),
+        ((1, 16, 5.0), "n_inputs"),
+    ])
+    def test_rejects_non_integer_count(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            rng.generate(*args)
+
     def test_unknown_generator(self):
         with pytest.raises(ValueError, match="generator_id"):
             rng.generate(1, 4, 1, generator_id="mt19937")
@@ -165,6 +174,9 @@ class TestChunkedFill:
         ((3, "mt19937", 0, 4, 3), "generator_id"),
         ((-1, "philox", 0, 4, 3), "seed"),
         ((2.5, "pcg64", 0, 4, 3), "seed"),
+        ((3, "philox", 0.0, 4, 3), "start"),
+        ((3, "philox", 0, 4.0, 3), "stop"),
+        ((3, "philox", 0, 4, 3.0), "n_inputs"),
     ])
     def test_generate_rows_rejects_bad_arguments(self, args, name,
                                                  monkeypatch):

@@ -9,11 +9,11 @@ Runs ``perfbench/run.py --trace 0`` of each checkout, in that checkout, for
 pair to pair, and both runs of a pair use the same workload seed
 (``--seed`` plus the pair's index in this invocation).  An existing
 ``--out`` file is extended: its runs are kept and new pairs are numbered
-after them.  The output holds every run (its ``failed`` count and
-metrics), the environment of the first run, each side's crashed runs and
-share of failed ops, and per end-to-end metric of BENCHMARK.json: each
-side's median and quartiles over the pairs where both sides completed, the
-pairs the change wins, loses and ties by the metric's ``better``
+after them.  The output holds every run (its ``failed`` count, metrics,
+import time and set-up repeat times), the environment of the first run,
+each side's crashed runs and share of failed ops, and per end-to-end
+metric of BENCHMARK.json: each side's median and quartiles over the
+pairs where both sides completed, the pairs the change wins, loses and ties by the metric's ``better``
 direction, and whether the gain rule holds (wins in at least nine tenths
 of all pairs run, a pair with a crashed side counting as not won; medians
 apart by more than the parent's interquartile range; and no larger share
@@ -37,7 +37,9 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run: its result line plus the env line."""
+    """One untraced benchmark run: its result line, plus the env line's
+    environment, import time and set-up repeat times, so that a move in
+    ``setup_s`` can be split into import and set-up work."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -49,6 +51,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     info, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {"returncode": 0, "failed": result["failed"],
             "attempted": result["attempted"], "env": info["env"],
+            "import_s": info["import_s"],
+            "setup_repeats_s": info["setup_repeats_s"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
