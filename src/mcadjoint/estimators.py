@@ -21,23 +21,27 @@ from the mean over paths [0, floor(j/g) g) (algorithm 3), so paths j < g are
 forward-only.  This is the seeding of evaluating c paths at a time, each
 seeded from the chunks before it.
 
-Every estimator materializes the per-path contribution matrix (one row
-per reversed path; no matrix of outputs is kept), takes its mean for the
-gradient, estimates the per-coordinate variance of the estimator from the
-same rows, and carries exact scalar-equivalent forward/reverse evaluation
-counts that are checked against their closed forms on every run.
+No estimator keeps a matrix of its per-path contributions (or of its
+outputs).  The reverse sweep writes each block's contributions into the
+next free rows of one fixed-size reduction tile, and every ``_TILE_ROWS``
+rows the tile is reduced into the gradient's running sum and the
+accumulators of the per-coordinate variance of the estimator.  Every
+estimate also carries exact scalar-equivalent forward/reverse evaluation
+counts that are checked against their closed forms on every run, and the
+time it spent in each phase of the sweep.
 
 Paths are processed one block at a time, in path order, with lane-wise
 vectorized replay: ``n_paths // 64`` paths per block, clamped to [2048,
 ``BLOCK_PATHS``] and rounded down to a multiple of the lag, so long runs
 pay the per-step dispatch of fewer, wider blocks.  Running sums are taken
-in path order, so with the lane determinism of the engine the result is
+in path order and tiles start at fixed multiples of ``_TILE_ROWS``
+contributions, so with the lane determinism of the engine the result is
 independent of the blocking.  Every pass of an estimate replays into one
 block buffer, bound to the tape (``Tape.bound``) so that its row views are
 built once.  The seeding steps work lane-major, as the buffer holds the
 values: they read a block's outputs as one row per output and write the
 seeds the same way, and the reverse sweep writes each path's parameter
-adjoints straight into that path's row of the term matrix.
+adjoints straight into the tile's next free row.
 """
 
 from __future__ import annotations
@@ -67,9 +71,10 @@ __all__ = [
 # path per buffer row, a parameter or lane-dependent node: 40 of the default
 # fixture's 75 nodes, 2.6 MB at 8192 lanes, 0.66 MB at 2048) small
 BLOCK_PATHS = 8192
-# rows per chunk of algorithm 1's variance reduction; fixed, so that the
-# variance does not depend on the blocking
-_VAR_ROWS = 4096
+# contributions per reduction tile (see _Tile): tiles start at fixed
+# multiples of it, so that no result depends on the blocking; 16 384 rows of
+# the default fixture's 5 parameters are 0.66 MB, which stays in cache
+_TILE_ROWS = 16384
 # paths replayed one lane at a time for the scalar baseline of K_F/K_R
 _SCALAR_PATHS = 256
 
@@ -93,6 +98,9 @@ class GradientEstimate:
     r_evals: int
     algorithm: int
     millis: float = 0.0
+    # milliseconds spent in each phase of the sweep: forward replay,
+    # seeding, reverse replay, reduction of the contributions
+    phases: dict = field(default_factory=dict)
 
 
 def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> np.ndarray:
@@ -102,15 +110,13 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
     sample variance over the term count.  Algorithms 2 and 3 carry lag-1
     dependence between consecutive terms, which the means of ``batch_count``
     >= 2 non-overlapping batches absorb.  A 1-D input is one column of terms.
+    The rows go through the estimators' own reduction tile, ``_TILE_ROWS``
+    at a time, so no copy of the terms is made.
     """
     terms = np.asarray(per_path_terms, dtype=np.float64)
     if terms.ndim == 1:
         terms = terms[:, None]
     n = terms.shape[0]
-    if algorithm == 1:
-        if n < 2:
-            return np.full(terms.shape[1], np.nan)
-        return _sum_sq_dev(terms) / (n - 1) / n
     if algorithm in (2, 3):
         _check_batch_count(batch_count)
         if n < 16 * batch_count:
@@ -118,13 +124,14 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
                 f"too few paths for the batch count: {n} terms cannot fill "
                 f"{batch_count} batches of at least 16"
             )
-        size = n // batch_count
-        batches = terms[: batch_count * size].reshape(batch_count, size, -1)
-        # einsum adds each batch's rows in order, as mean(axis=1) does for
-        # more than one column, at a third of the cost per row
-        means = np.einsum("bij->bj", batches) / size
-        return means.var(axis=0, ddof=1) / batch_count
-    raise ValueError(f"unknown algorithm {algorithm}")
+    elif algorithm != 1:
+        raise ValueError(f"unknown algorithm {algorithm}")
+    tile = _Tile(algorithm, n, terms.shape[1], batch_count)
+    for lo in range(0, n, _TILE_ROWS):
+        rows = terms[lo: lo + _TILE_ROWS]
+        tile.rows(len(rows))[...] = rows
+        tile.commit(len(rows))
+    return tile.finish()
 
 
 def _check_batch_count(batch_count: int) -> None:
@@ -132,33 +139,99 @@ def _check_batch_count(batch_count: int) -> None:
         raise ValueError(f"batch_count must be >= 2, got {batch_count}")
 
 
-def _sum_sq_dev(terms) -> np.ndarray:
-    """Per-column sum of squared deviations from the mean, two-pass.
+class _Tile:
+    """In-order reductions of per-path terms, one fixed tile at a time.
 
-    Works through ``_VAR_ROWS`` rows at a time instead of an n x M copy.
-    The running sum is row 0 of each chunk, so rows are summed in order.
+    Terms come in path order: ``rows(k)`` is a view of the next k free rows
+    of a (1 + rows, M) stack, and ``commit(k)`` takes them in.  Whenever
+    ``_TILE_ROWS`` rows are in, those rows are reduced and the overflow
+    moves to the front, so tiles start at fixed multiples of ``_TILE_ROWS``
+    whatever the writes were.  ``spare`` is the most rows one write adds.
+
+    A reduction adds the tile to the terms' running sum, carried as row 0 of
+    the stack so that rows add in path order (``np.einsum`` adds the rows of
+    more than one column in order, as ``mean(axis=0)`` does).  For the
+    variance it keeps, for algorithm 1, a two-pass (count, mean, M2) per
+    tile, merged in tile order (Chan, Golub & LeVeque, 1983); for algorithms
+    2 and 3, the in-order sum of each of ``batch_count`` batches, a batch
+    that a tile edge splits carrying its partial sum into the next tile.  A
+    batch count below 2 leaves the lagged variance NaN.
     """
-    mean = terms.mean(axis=0)
-    chunk = np.empty((_VAR_ROWS + 1, terms.shape[1]))
-    chunk[0] = 0.0
-    for lo in range(0, terms.shape[0], _VAR_ROWS):
-        rows = terms[lo: lo + _VAR_ROWS]
-        dev = chunk[1: len(rows) + 1]
-        np.subtract(rows, mean, out=dev)
-        np.multiply(dev, dev, out=dev)
-        chunk[0] = chunk[: len(rows) + 1].sum(axis=0)
-    return chunk[0]
 
+    def __init__(self, algorithm: int, n_terms: int, n_cols: int,
+                 batch_count: int, spare: int = 0):
+        self.algorithm = algorithm
+        self.n_terms = n_terms
+        self.stack = np.zeros((1 + min(n_terms, _TILE_ROWS + spare), n_cols))
+        self.fill = 0  # rows after row 0 not yet reduced
+        self.done = 0  # rows reduced
+        if algorithm == 1:
+            self.mean = np.zeros(n_cols)
+            self.m2 = np.zeros(n_cols)
+        else:
+            self.batches = batch_count if batch_count >= 2 else 0
+            self.size = n_terms // batch_count if self.batches else 0
+            self.sums = np.zeros((self.batches, n_cols))
 
-def _variance_or_nan(terms, algorithm, batch_count) -> np.ndarray:
-    """Internal: cap the batch count at small n instead of failing the run."""
-    if algorithm == 1:
-        return estimate_variance(terms, 1)
-    n = terms.shape[0]
-    capped = min(batch_count, n // 16)
-    if capped < 2:
-        return np.full(terms.shape[1], np.nan)
-    return estimate_variance(terms, algorithm, capped)
+    def rows(self, k: int) -> np.ndarray:
+        return self.stack[1 + self.fill: 1 + self.fill + k]
+
+    def commit(self, k: int) -> None:
+        self.fill += k
+        while self.fill >= _TILE_ROWS:
+            self._reduce(_TILE_ROWS)
+            self.fill -= _TILE_ROWS
+            self.stack[1: 1 + self.fill] = self.stack[
+                1 + _TILE_ROWS: 1 + _TILE_ROWS + self.fill]
+
+    def finish(self) -> np.ndarray:
+        """Reduce the last, partial tile; return the variance.  Row 0 of the
+        stack then holds the sum of every term."""
+        if self.fill:
+            self._reduce(self.fill)
+            self.fill = 0
+        n = self.n_terms
+        if self.algorithm == 1:
+            if n >= 2:
+                return self.m2 / (n - 1) / n
+        elif self.batches:
+            means = self.sums / self.size
+            return means.var(axis=0, ddof=1) / self.batches
+        return np.full(self.stack.shape[1], np.nan)
+
+    def _reduce(self, k: int) -> None:
+        lo, rows = self.done, self.stack[1: 1 + k]
+        total = np.einsum("ij->j", self.stack[: 1 + k])
+        self.done += k
+        if self.algorithm == 1:
+            mean = np.einsum("ij->j", rows) / k
+            np.subtract(rows, mean, out=rows)
+            np.multiply(rows, rows, out=rows)
+            delta = mean - self.mean
+            self.mean += delta * (k / self.done)
+            self.m2 += np.einsum("ij->j", rows) + delta * delta * (
+                lo * k / self.done)
+        elif self.batches:
+            self._add_batches(lo, min(self.done, self.batches * self.size))
+        self.stack[0] = total
+
+    def _add_batches(self, lo: int, hi: int) -> None:
+        """Add rows [lo, hi), in stack rows 1.., to their batches' sums."""
+        size, r = self.size, lo
+        if r < hi and r % size:  # the batch a tile edge split: continue it
+            b = r // size
+            r = min(hi, (b + 1) * size)
+            self.stack[0] = self.sums[b]
+            self.sums[b] = np.einsum("ij->j", self.stack[: 1 + r - lo])
+        whole = max(0, hi - r) // size
+        if whole:
+            rows = self.stack[1 + r - lo: 1 + r - lo + whole * size]
+            np.einsum("bij->bj", rows.reshape(whole, size, -1),
+                      out=self.sums[r // size: r // size + whole])
+            r += whole * size
+        if r < hi:  # a batch the tile edge splits: start it
+            self.sums[r // size] = np.einsum(
+                "ij->j", self.stack[1 + r - lo: 1 + hi - lo])
 
 
 # -- the block engine ---------------------------------------------------------
@@ -198,29 +271,40 @@ def _check_counts(counters: ReplayCounters, f_expected: int, r_expected: int) ->
 
 
 def _sweep(tape: Tape, params, paths: PathBatch, ranges, buffer,
-           counters: ReplayCounters, seed, terms=None, lag: int = 0) -> None:
+           counters: ReplayCounters, seed, phases: dict,
+           tile: _Tile = None) -> None:
     """Replay the blocks of ``ranges`` in path order, counting into ``counters``.
 
     Each block is forwarded into the leading lanes of ``buffer``.
     ``seed(lo, hi, y)`` gets the block's outputs lane-major, shape
     (n_outputs, hi - lo), and returns lane-major seed rows for the block's
     last paths (it alone decides how many), or None for a forward-only
-    block.  The seeded lanes are reversed straight into ``terms``, whose row
-    r belongs to path r + lag.
+    block.  The seeded lanes are reversed straight into the next free rows
+    of ``tile``, which then takes them in.  The seconds spent in each phase
+    are added to ``phases``.
     """
+    clock = time.perf_counter
     for lo, hi in ranges:
         n = hi - lo
         # a full block replays into the bound buffer object itself, so that
         # its row views are reused
         block = buffer if n == buffer.shape[1] else buffer[:, :n]
+        t0 = clock()
         y, _ = tape.replay_forward(params, paths.draws[lo:hi], buffer=block,
                                    counters=counters)
+        t1 = clock()
         seeds = seed(lo, hi, y.T)
+        t2 = clock()
+        phases["forward"] += t1 - t0
+        phases["seed"] += t2 - t1
         if seeds is not None:
             k = seeds.shape[1]
             tape.replay_reverse(block if k == n else block[:, n - k:],
-                                seeds.T, out=terms[hi - k - lag: hi - lag],
-                                counters=counters)
+                                seeds.T, out=tile.rows(k), counters=counters)
+            t3 = clock()
+            tile.commit(k)
+            phases["reverse"] += t3 - t2
+            phases["reduce"] += clock() - t3
 
 
 def _lagged_seeds(algorithm: int, lag: int, targets, size: int):
@@ -301,7 +385,10 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
             )
     ranges = _block_ranges(n, max(1, lag))
     size = ranges[0][1]
-    terms = np.empty((n - lag, tape.n_params), dtype=np.float64)
+    # small runs cap the batch count instead of failing
+    tile = _Tile(algorithm, n - lag, tape.n_params,
+                 min(batch_count, (n - lag) // 16), spare=size)
+    phases = dict.fromkeys(("forward", "seed", "reverse", "reduce"), 0.0)
     counters = ReplayCounters()
     # one block buffer serves every pass: a buffer freed after each block
     # lets malloc return its pages, and every block faults them back in
@@ -318,26 +405,31 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
                 stack[1: hi - lo + 1] = y.T
                 stack[0] = stack[: hi - lo + 1].sum(axis=0)
 
-            _sweep(tape, params, paths, ranges, buffer, counters, add_outputs)
+            _sweep(tape, params, paths, ranges, buffer, counters, add_outputs,
+                   phases)
             lam = stack[0] / n - targets
 
             def seed(lo, hi, y):
                 return np.broadcast_to(lam[:, None], y.shape)
         else:
             seed = _lagged_seeds(algorithm, lag, targets, size)
-        _sweep(tape, params, paths, ranges, buffer, counters, seed, terms, lag)
+        _sweep(tape, params, paths, ranges, buffer, counters, seed, phases,
+               tile)
 
     _check_counts(counters, 2 * n if algorithm == 1 else n, n - lag)
+    t1 = time.perf_counter()
+    variance = tile.finish()
+    grad = tile.stack[0] / (n - lag)
+    phases["reduce"] += time.perf_counter() - t1
     return GradientEstimate(
-        # einsum adds the rows in order, as mean(axis=0) does for more than
-        # one column, in about a third of the time
-        grad=np.einsum("ij->j", terms) / len(terms),
-        variance=_variance_or_nan(terms, algorithm, batch_count),
+        grad=grad,
+        variance=variance,
         n_paths=n,
         f_evals=counters.f_evals,
         r_evals=counters.r_evals,
         algorithm=algorithm,
         millis=(time.perf_counter() - t0) * 1e3,
+        phases={k: v * 1e3 for k, v in phases.items()},
     )
 
 

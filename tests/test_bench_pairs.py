@@ -1,6 +1,7 @@
 """The pair tally of tools/bench_pairs.py on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -105,3 +106,35 @@ def test_run_once_keeps_import_and_setup_times(tmp_path):
                    "env": {"nproc": 2}, "import_s": 0.31,
                    "setup_repeats_s": [0.03, 0.02, 0.025],
                    "metrics": {"setup_s": 0.335}}
+
+
+TRACED_STUB_RUN = '''import json, sys
+trace = int(sys.argv[sys.argv.index("--trace") + 1])
+print(json.dumps({"env": {"nproc": 2}, "workload": "w", "trace": trace,
+                  "import_s": 0.3, "setup_repeats_s": [0.02], "ops": []}))
+metrics = ({"estimators.grad_est1.self_s": {"value": %r, "unit": "s"}}
+           if trace else {"t": {"value": %r, "unit": "s"}})
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": metrics}))
+'''
+
+
+def test_per_layer_metrics_from_one_traced_run_per_side(tmp_path):
+    # each stub checkout reports its own end-to-end and per-layer numbers
+    for side, self_s, t in (("parent", 0.5, 1.0), ("change", 0.4, 0.9)):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            TRACED_STUB_RUN % (self_s, t))
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": DECLARED}))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([
+        "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"), "--workloads", "w",
+        "--pairs", "2", "--seconds", "0", "--out", str(out)]) == 0
+    w = json.loads(out.read_text())["workloads"]["w"]
+    assert len(w["runs"]) == 4 and w["metrics"]["t"]["wins"] == 2
+    for side, self_s in (("parent", 0.5), ("change", 0.4)):
+        traced = w["per_layer"][side]
+        assert traced["failed"] == 0 and traced["seed"] == 1
+        assert traced["metrics"] == {"estimators.grad_est1.self_s": self_s}

@@ -70,6 +70,12 @@ def slow_chunk_lag(algorithm, tape, params, paths, targets, width):
     return np.mean(terms, axis=0)
 
 
+def tile_bytes(tape, lanes):
+    """Bytes of an estimate's reduction tile: the carry row, one tile of
+    terms and the overflow of one block of ``lanes`` paths."""
+    return (1 + est._TILE_ROWS + lanes) * tape.n_params * 8
+
+
 class TestAlgorithm1:
     def test_constant_payoff_zero_gradient(self):
         tape = constant_tape()
@@ -119,14 +125,13 @@ class TestAlgorithm1:
         paths = generate(5, 10**5, 5)
         tracemalloc.start()
         try:
-            e = est.grad_est1(tape, curve.knot_vols, paths, spec.prices)
+            est.grad_est1(tape, curve.knot_vols, paths, spec.prices)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # above the draws: the term matrix and a few block buffers, no
-        # N x m matrix of outputs
-        terms_bytes = paths.n_paths * e.grad.size * 8
-        assert peak < terms_bytes + 2e6
+        # above the draws: one reduction tile and a few block buffers, no
+        # N x m matrix of outputs and no N x M matrix of terms
+        assert peak < tile_bytes(tape, 2048) + 2e6
 
     def test_peak_within_two_block_buffers(self):
         self.check_peak_within_two_block_buffers(5 * 10**4, 2048)
@@ -134,24 +139,35 @@ class TestAlgorithm1:
     def test_peak_within_two_block_buffers_at_full_width(self):
         self.check_peak_within_two_block_buffers(2**19, 8192)
 
+    @pytest.mark.parametrize("n, lanes", [(5 * 10**4, 2048), (2**19, 8192)])
+    def test_peak_within_two_block_buffers_algorithm3(self, n, lanes):
+        self.check_peak_within_two_block_buffers(n, lanes, est.grad_est3)
+
+    def test_peak_within_two_block_buffers_batched_width8(self):
+        def width8(tape, params, paths, targets):
+            return est.grad_est_batched(3, tape, params, paths, targets,
+                                        width=8)
+
+        self.check_peak_within_two_block_buffers(5 * 10**4, 2048, width8)
+
     @staticmethod
-    def check_peak_within_two_block_buffers(n, lanes):
-        # both passes share one block buffer, and nothing the tape keeps
-        # holds it after the call: the peak above the pre-drawn paths is the
-        # term matrix plus well under two buffers of the width the run uses
+    def check_peak_within_two_block_buffers(n, lanes, run=est.grad_est1):
+        # every pass shares one block buffer, and nothing the tape keeps
+        # holds it after the call: the peak above the pre-drawn paths is one
+        # reduction tile plus well under two buffers of the width the run
+        # uses, however many paths there are
         spec, curve, tape = fixture_tape()
         paths = generate(6, n, 5)
         assert est._block_ranges(n, 1)[0] == (0, lanes)
-        est.grad_est1(tape, curve.knot_vols, paths, spec.prices)  # warm up
+        run(tape, curve.knot_vols, paths, spec.prices)  # warm up
         tracemalloc.start()
         try:
-            est.grad_est1(tape, curve.knot_vols, paths, spec.prices)
+            run(tape, curve.knot_vols, paths, spec.prices)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        terms_bytes = paths.n_paths * tape.n_params * 8
         block_bytes = tape.alloc_buffer(lanes).nbytes
-        assert peak <= terms_bytes + 2 * block_bytes
+        assert peak <= tile_bytes(tape, lanes) + 2 * block_bytes
 
     def test_rejects_empty(self):
         tape = linear_toy_tape()
@@ -256,6 +272,19 @@ class TestVarianceEstimate:
             tracemalloc.stop()
         assert peak < 1e6  # the term matrix itself is 4 MB
         np.testing.assert_array_equal(terms, before)
+
+    def test_tiles_reduce_as_the_whole_matrix(self):
+        # three tiles and a ragged one; batches split by tile edges
+        terms = np.random.default_rng(7).standard_normal(
+            (3 * est._TILE_ROWS + 17, 5))
+        for batch_count in (32, 7, 1000):
+            expect = batch_means_variance(terms, batch_count)
+            for alg in (2, 3):
+                v = est.estimate_variance(terms, alg, batch_count)
+                assert v.tobytes() == expect.tobytes()
+        np.testing.assert_allclose(
+            est.estimate_variance(terms, 1),
+            terms.var(axis=0, ddof=1) / len(terms), rtol=1e-10, atol=0)
 
     def test_one_dimensional_terms_are_one_column(self):
         terms = np.random.default_rng(5).standard_normal(1000)
@@ -400,6 +429,82 @@ class TestBlocking:
         for a, b in zip(wide, narrow):
             assert (a.grad == b.grad).all() and (a.variance == b.variance).all()
             assert (a.f_evals, a.r_evals) == (b.f_evals, b.r_evals)
+
+
+def materialised_terms(algorithm, tape, params, paths, targets, lag):
+    """The N x M term matrix of an estimate at lag ``lag`` (0 for algorithm
+    1): one wide forward and one wide reverse replay, with the seeds
+    computed in path order.  Lane determinism makes each row the one the
+    block sweep reduces."""
+    n = paths.n_paths
+    buffer = tape.alloc_buffer(n)
+    y, _ = tape.replay_forward(params, paths.draws, buffer=buffer)
+    pre = np.zeros((n + 1, tape.n_outputs))  # in-order prefix sums of y
+    np.cumsum(y, axis=0, out=pre[1:])
+    if algorithm == 1:
+        seeds = np.broadcast_to(pre[n] / n - targets, y.shape)
+    elif algorithm == 2:
+        seeds = y[: n - lag] - targets
+    else:
+        starts = np.arange(lag, n) // lag * lag
+        seeds = pre[starts] / starts[:, None].astype(float) - targets
+    return tape.replay_reverse(buffer[:, lag:], seeds)
+
+
+def batch_means_variance(terms, batch_count=32):
+    """The lagged algorithms' variance, from the whole term matrix, with the
+    batch count capped as a small run caps it."""
+    count = min(batch_count, len(terms) // 16)
+    size = len(terms) // count
+    batches = terms[: count * size].reshape(count, size, -1)
+    means = np.einsum("bij->bj", batches) / size
+    return means.var(axis=0, ddof=1) / count
+
+
+class TestAgainstMaterialisedTerms:
+    @pytest.mark.parametrize("n, block", [
+        (5000, None), (3 * est._TILE_ROWS + 17, None),
+        (3 * est._TILE_ROWS + 17, 96),
+    ], ids=["small", "tile-edges", "block-96"])
+    def test_reductions_match_the_term_matrix(self, monkeypatch, n, block):
+        if block is not None:
+            monkeypatch.setattr(est, "BLOCK_PATHS", block)
+            assert est._block_ranges(n, 1)[0] == (0, block)
+        spec, curve, tape = fixture_tape()
+        vols, targets = curve.knot_vols, spec.prices
+        paths = generate(23, n, 5)
+        runs = [(alg, 0 if alg == 1 else 1, fn) for alg, fn in
+                ((1, est.grad_est1), (2, est.grad_est2), (3, est.grad_est3))]
+        runs += [(alg, 0 if alg == 1 else 8,
+                  lambda *a, alg=alg: est.grad_est_batched(alg, *a, width=8))
+                 for alg in (1, 2, 3)]
+        for alg, lag, run in runs:
+            terms = materialised_terms(alg, tape, vols, paths, targets, lag)
+            e = run(tape, vols, paths, targets)
+            where = f"alg {alg} lag {lag}"
+            expect = np.einsum("ij->j", terms) / len(terms)
+            assert e.grad.tobytes() == expect.tobytes(), where
+            if alg == 1:
+                np.testing.assert_allclose(
+                    e.variance, terms.var(axis=0, ddof=1) / n, rtol=1e-10,
+                    atol=0, err_msg=where)
+            else:
+                expect = batch_means_variance(terms)
+                assert e.variance.tobytes() == expect.tobytes(), where
+
+
+class TestPhases:
+    def test_phases_account_for_the_run(self):
+        spec, curve, tape = fixture_tape()
+        paths = generate(24, 10**6, 5)
+        for fn in (est.grad_est1, est.grad_est2, est.grad_est3):
+            e = fn(tape, curve.knot_vols, paths, spec.prices)
+            assert list(e.phases) == ["forward", "seed", "reverse", "reduce"]
+            assert all(t > 0 for t in e.phases.values())
+            total = sum(e.phases.values())
+            assert abs(total - e.millis) <= 0.05 * e.millis, (
+                f"algorithm {e.algorithm}: phases {e.phases}, "
+                f"millis {e.millis}")
 
 
 class TestBlockWidthRule:

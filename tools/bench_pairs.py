@@ -5,9 +5,10 @@
         --workloads grad-1e6 --seconds 30 --out BENCH_11.json
 
 Runs ``perfbench/run.py --trace 0`` of each checkout, in that checkout, for
-``--pairs`` pairs per workload.  The side that runs first alternates from
-pair to pair, and both runs of a pair use the same workload seed
-(``--seed`` plus the pair's index in this invocation).  An existing
+``--pairs`` pairs per workload, then ``--trace 1`` once per checkout, whose
+per-layer metrics go under the workload's ``per_layer``.  The side that
+runs first alternates from pair to pair, and both runs of a pair use the
+same workload seed (``--seed`` plus the pair's index in this invocation).  An existing
 ``--out`` file is extended: its runs are kept and new pairs are numbered
 after them.  The output holds every run (its ``failed`` count, metrics,
 import time and set-up repeat times), the environment of the first run,
@@ -36,13 +37,16 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run: its result line, plus the env line's
-    environment, import time and set-up repeat times, so that a move in
-    ``setup_s`` can be split into import and set-up work."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """One benchmark run: its result line, plus the env line's environment,
+    import time and set-up repeat times, so that a move in ``setup_s`` can
+    be split into import and set-up work.  The metrics are the end-to-end
+    ones untraced, the per-layer ones with ``trace`` 1."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -142,8 +146,18 @@ def main(argv=None) -> int:
                              "seed": seed, "seconds": args.seconds, **run})
                 print(f"{workload} pair {pair} {side}: failed={run['failed']}",
                       file=sys.stderr)
+        per_layer = {}
+        for side in SIDES:
+            run = run_once(checkouts[side], workload, args.seed, args.seconds,
+                           trace=1)
+            run.pop("env", None)
+            per_layer[side] = {"seed": args.seed, "seconds": args.seconds,
+                               **run}
+            print(f"{workload} traced {side}: failed={run['failed']}",
+                  file=sys.stderr)
         report["workloads"][workload] = {
-            **summarise(runs, declared["end_to_end"]), "runs": runs}
+            **summarise(runs, declared["end_to_end"]), "runs": runs,
+            "per_layer": per_layer}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
