@@ -135,6 +135,8 @@ def cmd_variance_table(cfg: RunConfig):
     for alg in cfg.algorithms:
         rows = []
         for n_mc in cfg.n_mc_list:
+            # drop the last set before drawing the next
+            paths = None
             paths = rng.generate(cfg.seed, n_mc, tape.n_inputs, cfg.generator_id)
             estimate, micros = _timed_estimate(cfg, alg, tape, curve.knot_vols,
                                                paths, spec.prices)

@@ -110,6 +110,12 @@ class MarketSpec:
         if not opts:
             raise ValueError("need at least one option")
         object.__setattr__(self, "options", opts)
+        # the driver layout, computed once: ``payoffs`` reads it per block
+        distinct = np.unique(self.expiries)
+        index = {t: k for k, t in enumerate(distinct)}
+        cols = np.array([index[o.expiry] for o in opts])
+        distinct.flags.writeable = cols.flags.writeable = False
+        object.__setattr__(self, "_layout", (distinct, cols))
 
     @property
     def n_options(self) -> int:
@@ -128,15 +134,13 @@ class MarketSpec:
         return np.array([o.price for o in self.options])
 
     def driver_layout(self):
-        """Distinct expiries (sorted) and each option's driver column."""
-        distinct = np.unique(self.expiries)
-        index = {t: k for k, t in enumerate(distinct)}
-        cols = np.array([index[o.expiry] for o in self.options])
-        return distinct, cols
+        """Distinct expiries (sorted) and each option's driver column, as
+        read-only arrays."""
+        return self._layout
 
     @property
     def n_drivers(self) -> int:
-        return self.driver_layout()[0].size
+        return self._layout[0].size
 
 
 @dataclass(frozen=True)

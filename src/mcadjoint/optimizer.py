@@ -6,7 +6,8 @@ projection.  The calibration driver feeds it stochastic gradients from one
 of the Monte-Carlo adjoint estimators; the path set is regenerated from
 (seed, iteration) at the start of every iteration and frozen while that
 iteration's line search runs, so each line search sees a coherent
-objective.
+objective.  The previous iteration's path set is released before the next
+is drawn, so at most one path set is alive at a time.
 """
 
 from __future__ import annotations
@@ -219,7 +220,8 @@ def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
 
     Each iteration draws a fresh path set from (seed, iteration), evaluates
     the Monte-Carlo loss and the algorithm's gradient estimate on it, and
-    keeps that set frozen for the whole line search.  ``config`` defaults
+    keeps that set frozen for the whole line search; the previous set is
+    released before the next is drawn.  ``config`` defaults
     to the module's ``_CALIBRATION`` settings, which also fill an unset
     ``param_floor`` or ``max_step``.  Returns ``(calibrated_curve, trace)``;
     the trace carries exact cumulative path-level forward/reverse counts.
@@ -240,6 +242,7 @@ def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
     state = {"paths": None}
 
     def step_setup(iteration):
+        state["paths"] = None   # let the last set go before drawing the next
         state["paths"] = rng.generate(_step_seed(seed, iteration), n_mc,
                                       tape.n_inputs, generator_id)
 

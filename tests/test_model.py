@@ -130,6 +130,19 @@ class TestPayoffs:
         assert y.shape == (2,)
         assert (y >= 0).all()
 
+    def test_driver_layout_is_read_only(self):
+        spec = MarketSpec(spot=100.0, options=(
+            OptionQuote(100.0, 2.0, 8.0),
+            OptionQuote(105.0, 1.0, 5.0),
+            OptionQuote(110.0, 2.0, 4.0),
+        ))
+        distinct, cols = spec.driver_layout()
+        assert distinct.tolist() == [1.0, 2.0] and cols.tolist() == [1, 0, 1]
+        for array in (distinct, cols):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert spec.driver_layout()[1].tolist() == [1, 0, 1]
+
     def test_monotone_in_terminal_price(self):
         w = np.linspace(-2, 2, 41)[:, None] * np.ones((1, 2))
         y = mdl.payoffs(self.spec, self.curve, w)

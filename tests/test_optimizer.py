@@ -1,5 +1,7 @@
 """L-BFGS minimizer and the calibration driver."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,25 @@ class TestCalibrate:
         assert trace.records[-1].f_evals == \
             calls["est_f"] + n_mc * calls["loss"]
         assert trace.records[-1].r_evals == calls["est_r"]
+
+    @pytest.mark.parametrize("algorithm", [1, 2, 3])
+    def test_holds_one_path_set(self, algorithm, monkeypatch):
+        # each iteration's draw finds every earlier path set already freed
+        spec, curve = mdl.default_fixture()
+        generate, alive = opt.rng.generate, []
+
+        def tracked_generate(*args, **kwargs):
+            assert all(ref() is None for ref in alive), \
+                f"{sum(ref() is not None for ref in alive)} earlier refs alive"
+            batch = generate(*args, **kwargs)
+            alive.extend([weakref.ref(batch), weakref.ref(batch.draws)])
+            return batch
+
+        monkeypatch.setattr(opt.rng, "generate", tracked_generate)
+        _, trace = calibrate(spec, curve, algorithm, 4000, seed=5,
+                             config=LbfgsConfig(max_iter=3))
+        # sets drawn for iterations 0, 1 and 2; the last needs no fresh set
+        assert trace.status == "max_iter" and len(alive) == 2 * 3
 
     def test_algorithm_validation(self):
         spec, curve = mdl.default_fixture()
