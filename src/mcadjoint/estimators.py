@@ -22,26 +22,22 @@ forward-only.  This is the seeding of evaluating c paths at a time, each
 seeded from the chunks before it.
 
 No estimator keeps a matrix of its per-path contributions (or of its
-outputs).  The reverse sweep writes each block's contributions into the
-next free rows of one fixed-size reduction tile, and every ``_TILE_ROWS``
-rows the tile is reduced into the gradient's running sum and the
-accumulators of the per-coordinate variance of the estimator.  Every
-estimate also carries exact scalar-equivalent forward/reverse evaluation
-counts that are checked against their closed forms on every run, and the
-time it spent in each phase of the sweep.
-
-Paths are processed one block at a time, in path order, with lane-wise
-vectorized replay: ``n_paths // 64`` paths per block, clamped to [2048,
-``BLOCK_PATHS``] and rounded down to a multiple of the lag, so long runs
-pay the per-step dispatch of fewer, wider blocks.  Running sums are taken
-in path order and tiles start at fixed multiples of ``_TILE_ROWS``
-contributions, so with the lane determinism of the engine the result is
-independent of the blocking.  Every pass of an estimate replays into one
-block buffer, bound to the tape (``Tape.bound``) so that its row views are
-built once.  The seeding steps work lane-major, as the buffer holds the
-values: they read a block's outputs as one row per output and write the
-seeds the same way, and the reverse sweep writes each path's parameter
-adjoints straight into the tile's next free row.
+outputs).  Paths are processed one block at a time, in path order, with
+lane-wise vectorized replay: ``n_paths // 64`` paths per block, clamped to
+[2048, ``BLOCK_PATHS``] and rounded down to a multiple of the lag, so long
+runs pay the per-step dispatch of fewer, wider blocks.  Every pass of an
+estimate replays into one block buffer, bound to the tape (``Tape.bound``)
+so that its row views are built once.  The seeding steps work lane-major,
+as the buffer holds the values: they read a block's outputs as one row per
+output and write the seeds the same way.  The reverse sweep writes each
+path's parameter adjoints straight into one block-sized stack (``_Sums``),
+which reduces them as soon as they land into the gradient's running sum
+and the accumulators of its per-coordinate variance.  Every sum is taken
+in path order, so with the lane determinism of the engine no result
+depends on the blocking.  Every estimate also carries exact
+scalar-equivalent forward/reverse evaluation counts, checked against their
+closed forms on every run, and the time it spent in each phase of the
+sweep.
 """
 
 from __future__ import annotations
@@ -71,10 +67,6 @@ __all__ = [
 # path per buffer row, a parameter or lane-dependent node: 40 of the default
 # fixture's 75 nodes, 2.6 MB at 8192 lanes, 0.66 MB at 2048) small
 BLOCK_PATHS = 8192
-# contributions per reduction tile (see _Tile): tiles start at fixed
-# multiples of it, so that no result depends on the blocking; 16 384 rows of
-# the default fixture's 5 parameters are 0.66 MB, which stays in cache
-_TILE_ROWS = 16384
 # paths replayed one lane at a time for the scalar baseline of K_F/K_R
 _SCALAR_PATHS = 256
 
@@ -110,8 +102,8 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
     sample variance over the term count.  Algorithms 2 and 3 carry lag-1
     dependence between consecutive terms, which the means of ``batch_count``
     >= 2 non-overlapping batches absorb.  A 1-D input is one column of terms.
-    The rows go through the estimators' own reduction tile, ``_TILE_ROWS``
-    at a time, so no copy of the terms is made.
+    The rows go through the estimators' own reductions, ``BLOCK_PATHS`` at a
+    time, so no copy of the terms is made.
     """
     terms = np.asarray(per_path_terms, dtype=np.float64)
     if terms.ndim == 1:
@@ -126,12 +118,13 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
             )
     elif algorithm != 1:
         raise ValueError(f"unknown algorithm {algorithm}")
-    tile = _Tile(algorithm, n, terms.shape[1], batch_count)
-    for lo in range(0, n, _TILE_ROWS):
-        rows = terms[lo: lo + _TILE_ROWS]
-        tile.rows(len(rows))[...] = rows
-        tile.commit(len(rows))
-    return tile.finish()
+    sums = _Sums(algorithm, n, terms.shape[1], batch_count,
+                 min(n, BLOCK_PATHS))
+    for lo in range(0, n, BLOCK_PATHS):
+        rows = terms[lo: lo + BLOCK_PATHS]
+        sums.rows(len(rows))[...] = rows
+        sums.commit(len(rows))
+    return sums.finish()
 
 
 def _check_batch_count(batch_count: int) -> None:
@@ -139,86 +132,86 @@ def _check_batch_count(batch_count: int) -> None:
         raise ValueError(f"batch_count must be >= 2, got {batch_count}")
 
 
-class _Tile:
-    """In-order reductions of per-path terms, one fixed tile at a time.
+class _Sums:
+    """In-order reductions of per-path terms, one block at a time.
 
-    Terms come in path order: ``rows(k)`` is a view of the next k free rows
-    of a (1 + rows, M) stack, and ``commit(k)`` takes them in.  Whenever
-    ``_TILE_ROWS`` rows are in, those rows are reduced and the overflow
-    moves to the front, so tiles start at fixed multiples of ``_TILE_ROWS``
-    whatever the writes were.  ``spare`` is the most rows one write adds.
+    ``rows(k)`` is a view of the k rows after row 0 of a (1 + rows,
+    max(2, M)) stack, into which the terms come in path order, and
+    ``commit(k)`` reduces them at once.  ``np.einsum`` adds the rows of two
+    or more columns in order but a lone column pairwise, hence the zero
+    column that pads M = 1; with each running sum carried in row 0, every
+    sum is taken in path order, whatever the blocks.
 
-    A reduction adds the tile to the terms' running sum, carried as row 0 of
-    the stack so that rows add in path order (``np.einsum`` adds the rows of
-    more than one column in order, as ``mean(axis=0)`` does).  For the
-    variance it keeps, for algorithm 1, a two-pass (count, mean, M2) per
-    tile, merged in tile order (Chan, Golub & LeVeque, 1983); for algorithms
-    2 and 3, the in-order sum of each of ``batch_count`` batches, a batch
-    that a tile edge splits carrying its partial sum into the next tile.  A
-    batch count below 2 leaves the lagged variance NaN.
+    ``total`` is the terms' running sum.  For the variance, algorithm 1
+    keeps running sums of the nonzero terms' offsets from the first term
+    and of their squares (shifted data: Chan, Golub & LeVeque, 1983), and
+    counts the zero terms (paths that carry no gradient) instead of adding
+    them: one rounded offset added in order 10^6 times drifts the fixture's
+    variance by up to 1e-10 relative.  Algorithms 2 and 3 keep the in-order
+    sum of each of ``batch_count`` batches, a batch that a block edge splits
+    carrying its partial sum into the next block; a count below 2 leaves
+    their variance NaN.
     """
 
     def __init__(self, algorithm: int, n_terms: int, n_cols: int,
-                 batch_count: int, spare: int = 0):
+                 batch_count: int, rows: int):
         self.algorithm = algorithm
         self.n_terms = n_terms
-        self.stack = np.zeros((1 + min(n_terms, _TILE_ROWS + spare), n_cols))
-        self.fill = 0  # rows after row 0 not yet reduced
+        self.n_cols = n_cols
+        width = max(2, n_cols)
+        self.stack = np.zeros((1 + rows, width))
+        self.total = self.stack[0, :n_cols]
         self.done = 0  # rows reduced
         if algorithm == 1:
-            self.mean = np.zeros(n_cols)
-            self.m2 = np.zeros(n_cols)
+            self.s1, self.s2, self.nonzero = np.zeros((3, width))
+            self.mask = np.empty((rows, width))
         else:
             self.batches = batch_count if batch_count >= 2 else 0
             self.size = n_terms // batch_count if self.batches else 0
-            self.sums = np.zeros((self.batches, n_cols))
+            self.sums = np.zeros((self.batches, width))
 
     def rows(self, k: int) -> np.ndarray:
-        return self.stack[1 + self.fill: 1 + self.fill + k]
+        return self.stack[1: 1 + k, : self.n_cols]
 
     def commit(self, k: int) -> None:
-        self.fill += k
-        while self.fill >= _TILE_ROWS:
-            self._reduce(_TILE_ROWS)
-            self.fill -= _TILE_ROWS
-            self.stack[1: 1 + self.fill] = self.stack[
-                1 + _TILE_ROWS: 1 + _TILE_ROWS + self.fill]
-
-    def finish(self) -> np.ndarray:
-        """Reduce the last, partial tile; return the variance.  Row 0 of the
-        stack then holds the sum of every term."""
-        if self.fill:
-            self._reduce(self.fill)
-            self.fill = 0
-        n = self.n_terms
-        if self.algorithm == 1:
-            if n >= 2:
-                return self.m2 / (n - 1) / n
-        elif self.batches:
-            means = self.sums / self.size
-            return means.var(axis=0, ddof=1) / self.batches
-        return np.full(self.stack.shape[1], np.nan)
-
-    def _reduce(self, k: int) -> None:
-        lo, rows = self.done, self.stack[1: 1 + k]
-        total = np.einsum("ij->j", self.stack[: 1 + k])
+        lo, stack = self.done, self.stack[: 1 + k]
+        total = np.einsum("ij->j", stack)
         self.done += k
         if self.algorithm == 1:
-            mean = np.einsum("ij->j", rows) / k
-            np.subtract(rows, mean, out=rows)
+            rows, mask = stack[1:], self.mask[:k]
+            if not lo:
+                self.shift = rows[0].copy()
+            np.not_equal(rows, 0, out=mask)  # 0/1 floats: they sum exactly
+            self.nonzero += np.einsum("ij->j", mask)
+            mask *= self.shift
+            rows -= mask  # only the nonzero terms are shifted
+            stack[0] = self.s1
+            self.s1 = np.einsum("ij->j", stack)
             np.multiply(rows, rows, out=rows)
-            delta = mean - self.mean
-            self.mean += delta * (k / self.done)
-            self.m2 += np.einsum("ij->j", rows) + delta * delta * (
-                lo * k / self.done)
+            stack[0] = self.s2
+            self.s2 = np.einsum("ij->j", stack)
         elif self.batches:
             self._add_batches(lo, min(self.done, self.batches * self.size))
-        self.stack[0] = total
+        stack[0] = total
+
+    def finish(self) -> np.ndarray:
+        """The variance of the terms' mean."""
+        n, m = self.n_terms, self.n_cols
+        if self.algorithm == 1:
+            if n >= 2:
+                zeros = n - self.nonzero
+                s1 = self.s1 - zeros * self.shift
+                s2 = self.s2 + zeros * self.shift * self.shift
+                return np.maximum(s2 - s1 * s1 / n, 0.0)[:m] / (n - 1) / n
+        elif self.batches:
+            means = self.sums[:, :m] / self.size
+            return means.var(axis=0, ddof=1) / self.batches
+        return np.full(m, np.nan)
 
     def _add_batches(self, lo: int, hi: int) -> None:
         """Add rows [lo, hi), in stack rows 1.., to their batches' sums."""
         size, r = self.size, lo
-        if r < hi and r % size:  # the batch a tile edge split: continue it
+        if r < hi and r % size:  # the batch a block edge split: continue it
             b = r // size
             r = min(hi, (b + 1) * size)
             self.stack[0] = self.sums[b]
@@ -229,7 +222,7 @@ class _Tile:
             np.einsum("bij->bj", rows.reshape(whole, size, -1),
                       out=self.sums[r // size: r // size + whole])
             r += whole * size
-        if r < hi:  # a batch the tile edge splits: start it
+        if r < hi:  # a batch the block edge splits: start it
             self.sums[r // size] = np.einsum(
                 "ij->j", self.stack[1 + r - lo: 1 + hi - lo])
 
@@ -272,16 +265,16 @@ def _check_counts(counters: ReplayCounters, f_expected: int, r_expected: int) ->
 
 def _sweep(tape: Tape, params, paths: PathBatch, ranges, buffer,
            counters: ReplayCounters, seed, phases: dict,
-           tile: _Tile = None) -> None:
+           sums: _Sums = None) -> None:
     """Replay the blocks of ``ranges`` in path order, counting into ``counters``.
 
     Each block is forwarded into the leading lanes of ``buffer``.
     ``seed(lo, hi, y)`` gets the block's outputs lane-major, shape
     (n_outputs, hi - lo), and returns lane-major seed rows for the block's
     last paths (it alone decides how many), or None for a forward-only
-    block.  The seeded lanes are reversed straight into the next free rows
-    of ``tile``, which then takes them in.  The seconds spent in each phase
-    are added to ``phases``.
+    block.  The seeded lanes are reversed straight into the rows of
+    ``sums``, which then reduces them.  The seconds spent in each phase are
+    added to ``phases``.
     """
     clock = time.perf_counter
     for lo, hi in ranges:
@@ -300,9 +293,9 @@ def _sweep(tape: Tape, params, paths: PathBatch, ranges, buffer,
         if seeds is not None:
             k = seeds.shape[1]
             tape.replay_reverse(block if k == n else block[:, n - k:],
-                                seeds.T, out=tile.rows(k), counters=counters)
+                                seeds.T, out=sums.rows(k), counters=counters)
             t3 = clock()
-            tile.commit(k)
+            sums.commit(k)
             phases["reverse"] += t3 - t2
             phases["reduce"] += clock() - t3
 
@@ -386,8 +379,8 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
     ranges = _block_ranges(n, max(1, lag))
     size = ranges[0][1]
     # small runs cap the batch count instead of failing
-    tile = _Tile(algorithm, n - lag, tape.n_params,
-                 min(batch_count, (n - lag) // 16), spare=size)
+    sums = _Sums(algorithm, n - lag, tape.n_params,
+                 min(batch_count, (n - lag) // 16), size)
     phases = dict.fromkeys(("forward", "seed", "reverse", "reduce"), 0.0)
     counters = ReplayCounters()
     # one block buffer serves every pass: a buffer freed after each block
@@ -396,30 +389,30 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
     buffer = tape.alloc_buffer(size)
     with tape.bound(buffer):
         if algorithm == 1:
-            # pass one keeps the running sum of the outputs as row 0 of a
-            # stack over each block, so rows add in path order, as
-            # y.mean(axis=0) adds
-            stack = np.zeros((size + 1, tape.n_outputs))
+            # pass one carries the outputs' sum as row 0 of a stack over
+            # each block, so rows add in path order (see _Sums)
+            m = tape.n_outputs
+            stack = np.zeros((size + 1, max(2, m)))
 
             def add_outputs(lo, hi, y):
-                stack[1: hi - lo + 1] = y.T
+                stack[1: hi - lo + 1, :m] = y.T
                 stack[0] = stack[: hi - lo + 1].sum(axis=0)
 
             _sweep(tape, params, paths, ranges, buffer, counters, add_outputs,
                    phases)
-            lam = stack[0] / n - targets
+            lam = stack[0, :m] / n - targets
 
             def seed(lo, hi, y):
                 return np.broadcast_to(lam[:, None], y.shape)
         else:
             seed = _lagged_seeds(algorithm, lag, targets, size)
         _sweep(tape, params, paths, ranges, buffer, counters, seed, phases,
-               tile)
+               sums)
 
     _check_counts(counters, 2 * n if algorithm == 1 else n, n - lag)
     t1 = time.perf_counter()
-    variance = tile.finish()
-    grad = tile.stack[0] / (n - lag)
+    variance = sums.finish()
+    grad = sums.total / (n - lag)
     phases["reduce"] += time.perf_counter() - t1
     return GradientEstimate(
         grad=grad,

@@ -117,6 +117,10 @@ class MarketSpec:
         distinct.flags.writeable = cols.flags.writeable = False
         object.__setattr__(self, "_layout", (distinct, cols))
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the layout read-only, not copy it
+        return MarketSpec, (self.spot, self.options)
+
     @property
     def n_options(self) -> int:
         return len(self.options)

@@ -102,10 +102,32 @@ def test_run_once_keeps_import_and_setup_times(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
     run = bench_pairs.run_once(tmp_path, "w", 1, 0.0)
+    assert len(run.pop("loadavg")) == 3
     assert run == {"returncode": 0, "failed": 0, "attempted": 3,
                    "env": {"nproc": 2}, "import_s": 0.31,
                    "setup_repeats_s": [0.03, 0.02, 0.025],
                    "metrics": {"setup_s": 0.335}}
+
+
+@pytest.mark.parametrize("crashes", [False, True])
+def test_run_once_records_the_load_before_the_run(tmp_path, monkeypatch,
+                                                  crashes):
+    # the stub leaves a file behind when it runs, and may then crash
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "open('ran', 'w').close()\n"
+        + ("raise SystemExit(3)\n" if crashes else STUB_RUN))
+    ran_before = []
+
+    def getloadavg():
+        ran_before.append((tmp_path / "ran").exists())
+        return (1.5, 1.25, 0.75)
+
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", getloadavg)
+    run = bench_pairs.run_once(tmp_path, "w", 1, 0.0)
+    assert run["loadavg"] == [1.5, 1.25, 0.75] and ran_before == [False]
+    assert (tmp_path / "ran").exists()
+    assert run["failed"] == (None if crashes else 0)
 
 
 TRACED_STUB_RUN = '''import json, sys

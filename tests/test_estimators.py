@@ -6,6 +6,7 @@ estimators must agree with it to rounding.  Statistical assertions use
 fixed seeds and standard-error bands.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -70,10 +71,10 @@ def slow_chunk_lag(algorithm, tape, params, paths, targets, width):
     return np.mean(terms, axis=0)
 
 
-def tile_bytes(tape, lanes):
-    """Bytes of an estimate's reduction tile: the carry row, one tile of
-    terms and the overflow of one block of ``lanes`` paths."""
-    return (1 + est._TILE_ROWS + lanes) * tape.n_params * 8
+def stack_bytes(tape, lanes):
+    """Bytes of an estimate's reduction stack: the carry row and one block
+    of ``lanes`` paths' terms."""
+    return (1 + lanes) * max(2, tape.n_params) * 8
 
 
 class TestAlgorithm1:
@@ -129,9 +130,9 @@ class TestAlgorithm1:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # above the draws: one reduction tile and a few block buffers, no
+        # above the draws: one reduction stack and a few block buffers, no
         # N x m matrix of outputs and no N x M matrix of terms
-        assert peak < tile_bytes(tape, 2048) + 2e6
+        assert peak < stack_bytes(tape, 2048) + 2e6
 
     def test_peak_within_two_block_buffers(self):
         self.check_peak_within_two_block_buffers(5 * 10**4, 2048)
@@ -154,8 +155,8 @@ class TestAlgorithm1:
     def check_peak_within_two_block_buffers(n, lanes, run=est.grad_est1):
         # every pass shares one block buffer, and nothing the tape keeps
         # holds it after the call: the peak above the pre-drawn paths is one
-        # reduction tile plus well under two buffers of the width the run
-        # uses, however many paths there are
+        # block-sized reduction stack plus well under two buffers of the
+        # width the run uses, however many paths there are
         spec, curve, tape = fixture_tape()
         paths = generate(6, n, 5)
         assert est._block_ranges(n, 1)[0] == (0, lanes)
@@ -167,7 +168,7 @@ class TestAlgorithm1:
         finally:
             tracemalloc.stop()
         block_bytes = tape.alloc_buffer(lanes).nbytes
-        assert peak <= tile_bytes(tape, lanes) + 2 * block_bytes
+        assert peak <= stack_bytes(tape, lanes) + 2 * block_bytes
 
     def test_rejects_empty(self):
         tape = linear_toy_tape()
@@ -274,9 +275,9 @@ class TestVarianceEstimate:
         np.testing.assert_array_equal(terms, before)
 
     def test_tiles_reduce_as_the_whole_matrix(self):
-        # three tiles and a ragged one; batches split by tile edges
-        terms = np.random.default_rng(7).standard_normal(
-            (3 * est._TILE_ROWS + 17, 5))
+        # six BLOCK_PATHS blocks and a ragged one; batches split by block
+        # edges
+        terms = np.random.default_rng(7).standard_normal((3 * 16384 + 17, 5))
         for batch_count in (32, 7, 1000):
             expect = batch_means_variance(terms, batch_count)
             for alg in (2, 3):
@@ -285,6 +286,28 @@ class TestVarianceEstimate:
         np.testing.assert_allclose(
             est.estimate_variance(terms, 1),
             terms.var(axis=0, ddof=1) / len(terms), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("n, shape", [
+        (10**5, "offset"), (10**4, "far-first"), (10**6, "mostly-zero")])
+    def test_algorithm1_keeps_its_digits(self, n, shape):
+        # offset: every term near 1e6 with unit spread; far-first: the first
+        # term, from which the sums are shifted, 10^3 SDs out; mostly-zero:
+        # 70 % zero terms, as paths that carry no gradient give, which a
+        # shifted in-order sum would add as one rounded offset, n times
+        rng = np.random.default_rng(26)
+        terms = rng.standard_normal((n, 2))
+        if shape == "offset":
+            terms += 1e6
+        elif shape == "far-first":
+            terms[0] = 1e3
+        else:
+            terms = terms * 5000 + 3000
+            terms[rng.random((n, 2)) < 0.7] = 0.0
+            terms[0] = [1234.5678, 987.654321]
+        exact = exact_variance(terms)
+        rtol = {"offset": 1e-9, "far-first": 1e-8, "mostly-zero": 1e-12}
+        np.testing.assert_allclose(est.estimate_variance(terms, 1), exact,
+                                   rtol=rtol[shape], atol=0)
 
     def test_one_dimensional_terms_are_one_column(self):
         terms = np.random.default_rng(5).standard_normal(1000)
@@ -308,6 +331,16 @@ class TestVarianceEstimate:
             v[n] = e.variance[0]
         ratio = v[10**5] / v[10**6]
         assert 10 / 1.25 < ratio < 10 * 1.25
+
+
+def exact_variance(terms):
+    """The variance of the column means, from correctly rounded sums."""
+    n = len(terms)
+    out = []
+    for col in terms.T.tolist():
+        mean = math.fsum(col) / n
+        out.append(math.fsum((x - mean) ** 2 for x in col) / (n - 1) / n)
+    return np.array(out)
 
 
 class TestBatched:
@@ -430,6 +463,24 @@ class TestBlocking:
             assert (a.grad == b.grad).all() and (a.variance == b.variance).all()
             assert (a.f_evals, a.r_evals) == (b.f_evals, b.r_evals)
 
+    def test_one_column_tape_does_not_depend_on_the_blocking(self,
+                                                           monkeypatch):
+        # one parameter and one output: numpy adds a lone column pairwise,
+        # so the output and term sums stay in path order only because a
+        # zero column pads them
+        tape = tp.record(lambda p, w: [tp.max0(p[0] * w[0] - 0.2)],
+                         n_params=1, n_inputs=1)
+        paths = generate(25, 300_017, 1)
+        runs = []
+        for block, width in ((8192, 4687), (1024, 1024), (96, 96)):
+            monkeypatch.setattr(est, "BLOCK_PATHS", block)
+            assert est._block_ranges(300_017, 1)[0] == (0, width)
+            runs.append(every_estimate(tape, [0.8], paths, [0.1]))
+        for first, *others in zip(*runs):
+            for e in others:
+                assert e.grad.tobytes() == first.grad.tobytes()
+                assert e.variance.tobytes() == first.variance.tobytes()
+
 
 def materialised_terms(algorithm, tape, params, paths, targets, lag):
     """The N x M term matrix of an estimate at lag ``lag`` (0 for algorithm
@@ -463,8 +514,7 @@ def batch_means_variance(terms, batch_count=32):
 
 class TestAgainstMaterialisedTerms:
     @pytest.mark.parametrize("n, block", [
-        (5000, None), (3 * est._TILE_ROWS + 17, None),
-        (3 * est._TILE_ROWS + 17, 96),
+        (5000, None), (3 * 16384 + 17, None), (3 * 16384 + 17, 96),
     ], ids=["small", "tile-edges", "block-96"])
     def test_reductions_match_the_term_matrix(self, monkeypatch, n, block):
         if block is not None:

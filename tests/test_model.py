@@ -5,7 +5,9 @@ quadrature of the lognormal payoff integral, and the Monte-Carlo pieces
 are validated against the closed form.
 """
 
+import copy
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -136,11 +138,15 @@ class TestPayoffs:
             OptionQuote(105.0, 1.0, 5.0),
             OptionQuote(110.0, 2.0, 4.0),
         ))
-        distinct, cols = spec.driver_layout()
-        assert distinct.tolist() == [1.0, 2.0] and cols.tolist() == [1, 0, 1]
-        for array in (distinct, cols):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+        for copy_ in (spec, pickle.loads(pickle.dumps(spec)),
+                      copy.deepcopy(spec), copy.copy(spec)):
+            assert copy_ == spec
+            distinct, cols = copy_.driver_layout()
+            assert distinct.tolist() == [1.0, 2.0]
+            assert cols.tolist() == [1, 0, 1]
+            for array in (distinct, cols):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
         assert spec.driver_layout()[1].tolist() == [1, 0, 1]
 
     def test_monotone_in_terminal_price(self):

@@ -11,8 +11,10 @@ runs first alternates from pair to pair, and both runs of a pair use the
 same workload seed (``--seed`` plus the pair's index in this invocation).  An existing
 ``--out`` file is extended: its runs are kept and new pairs are numbered
 after them.  The output holds every run (its ``failed`` count, metrics,
-import time and set-up repeat times), the environment of the first run,
-each side's crashed runs and share of failed ops, and per end-to-end
+import time, set-up repeat times, and the host's 1/5/15-minute load
+averages just before it, to tell a pair's swing from host load), the
+environment of the first run, each side's crashed runs and share of
+failed ops, and per end-to-end
 metric of BENCHMARK.json: each side's median and quartiles over the
 pairs where both sides completed, the pairs the change wins, loses and ties by the metric's ``better``
 direction, and whether the gain rule holds (wins in at least nine tenths
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -41,8 +44,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
     """One benchmark run: its result line, plus the env line's environment,
     import time and set-up repeat times, so that a move in ``setup_s`` can
-    be split into import and set-up work.  The metrics are the end-to-end
-    ones untraced, the per-layer ones with ``trace`` 1."""
+    be split into import and set-up work, and the load averages taken just
+    before it.  The metrics are the end-to-end ones untraced, the per-layer
+    ones with ``trace`` 1."""
+    loadavg = list(os.getloadavg())
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
@@ -51,10 +56,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         return {"returncode": proc.returncode, "failed": None,
+                "loadavg": loadavg,
                 "error": (proc.stdout + proc.stderr)[-2000:]}
     info, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {"returncode": 0, "failed": result["failed"],
-            "attempted": result["attempted"], "env": info["env"],
+            "attempted": result["attempted"], "loadavg": loadavg,
+            "env": info["env"],
             "import_s": info["import_s"],
             "setup_repeats_s": info["setup_repeats_s"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
