@@ -76,7 +76,8 @@ class GradientEstimate:
     """A gradient estimate with its variance and exact evaluation counts.
 
     ``variance`` is the per-coordinate variance of ``grad`` with the
-    residual seeds treated as fixed.  It leaves out the noise of the seeds
+    residual seeds treated as fixed (all NaN when the estimate was asked
+    for none, ``batch_count=0``).  It leaves out the noise of the seeds
     themselves (the sample mean for algorithm 1, the running means for
     algorithm 3), so for those algorithms it understates the standard
     error: by up to about 3x at the default fixture's start point, and by
@@ -101,7 +102,8 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
     Algorithm 1 terms are i.i.d., so the variance of their mean is the
     sample variance over the term count.  Algorithms 2 and 3 carry lag-1
     dependence between consecutive terms, which the means of ``batch_count``
-    >= 2 non-overlapping batches absorb.  A 1-D input is one column of terms.
+    >= 2 non-overlapping batches absorb (algorithm 1 does not read it).  A
+    1-D input is one column of terms.
     The rows go through the estimators' own reductions, ``BLOCK_PATHS`` at a
     time, so no copy of the terms is made.
     """
@@ -110,13 +112,16 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
         terms = terms[:, None]
     n = terms.shape[0]
     if algorithm in (2, 3):
-        _check_batch_count(batch_count)
+        if batch_count < 2:
+            raise ValueError(f"batch_count must be >= 2, got {batch_count}")
         if n < 16 * batch_count:
             raise ValueError(
                 f"too few paths for the batch count: {n} terms cannot fill "
                 f"{batch_count} batches of at least 16"
             )
-    elif algorithm != 1:
+    elif algorithm == 1:
+        batch_count = 2  # _Sums reads any count >= 2 as "variance wanted"
+    else:
         raise ValueError(f"unknown algorithm {algorithm}")
     sums = _Sums(algorithm, n, terms.shape[1], batch_count,
                  min(n, BLOCK_PATHS))
@@ -125,11 +130,6 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
         sums.rows(len(rows))[...] = rows
         sums.commit(len(rows))
     return sums.finish()
-
-
-def _check_batch_count(batch_count: int) -> None:
-    if batch_count < 2:
-        raise ValueError(f"batch_count must be >= 2, got {batch_count}")
 
 
 class _Sums:
@@ -149,8 +149,9 @@ class _Sums:
     them: one rounded offset added in order 10^6 times drifts the fixture's
     variance by up to 1e-10 relative.  Algorithms 2 and 3 keep the in-order
     sum of each of ``batch_count`` batches, a batch that a block edge splits
-    carrying its partial sum into the next block; a count below 2 leaves
-    their variance NaN.
+    carrying its partial sum into the next block.  A count below 2 builds
+    none of these accumulators and leaves the variance NaN, for every
+    algorithm (algorithm 1 reads no other count).
     """
 
     def __init__(self, algorithm: int, n_terms: int, n_cols: int,
@@ -162,12 +163,12 @@ class _Sums:
         self.stack = np.zeros((1 + rows, width))
         self.total = self.stack[0, :n_cols]
         self.done = 0  # rows reduced
-        if algorithm == 1:
+        self.batches = batch_count if batch_count >= 2 else 0
+        if algorithm == 1 and self.batches:
             self.s1, self.s2, self.nonzero = np.zeros((3, width))
             self.mask = np.empty((rows, width))
-        else:
-            self.batches = batch_count if batch_count >= 2 else 0
-            self.size = n_terms // batch_count if self.batches else 0
+        elif self.batches:
+            self.size = n_terms // batch_count
             self.sums = np.zeros((self.batches, width))
 
     def rows(self, k: int) -> np.ndarray:
@@ -177,7 +178,7 @@ class _Sums:
         lo, stack = self.done, self.stack[: 1 + k]
         total = np.einsum("ij->j", stack)
         self.done += k
-        if self.algorithm == 1:
+        if self.algorithm == 1 and self.batches:
             rows, mask = stack[1:], self.mask[:k]
             if not lo:
                 self.shift = rows[0].copy()
@@ -198,7 +199,7 @@ class _Sums:
         """The variance of the terms' mean."""
         n, m = self.n_terms, self.n_cols
         if self.algorithm == 1:
-            if n >= 2:
+            if self.batches and n >= 2:
                 zeros = n - self.nonzero
                 s1 = self.s1 - zeros * self.shift
                 s2 = self.s2 + zeros * self.shift * self.shift
@@ -364,23 +365,23 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
         raise ValueError(f"n_threads must be 1, got {n_threads}")
     t0 = time.perf_counter()
     params, targets = _check_inputs(tape, params, paths, targets)
+    if batch_count < 2 and batch_count != 0:
+        raise ValueError(f"batch_count must be 0 or >= 2, got {batch_count}")
     n = paths.n_paths
     if algorithm == 1:
         if n < 1:
             raise ValueError("paths must be nonempty")
         lag = 0
-    else:
-        _check_batch_count(batch_count)
-        if n <= lag:
-            raise ValueError(
-                f"algorithm {algorithm} at width {lag} needs at least {lag + 1} "
-                "paths: each reverse sweep is seeded from an earlier path"
-            )
+    elif n <= lag:
+        raise ValueError(
+            f"algorithm {algorithm} at width {lag} needs at least {lag + 1} "
+            "paths: each reverse sweep is seeded from an earlier path"
+        )
     ranges = _block_ranges(n, max(1, lag))
     size = ranges[0][1]
-    # small runs cap the batch count instead of failing
-    sums = _Sums(algorithm, n - lag, tape.n_params,
-                 min(batch_count, (n - lag) // 16), size)
+    if algorithm != 1:  # small runs cap the batch count instead of failing
+        batch_count = min(batch_count, (n - lag) // 16)
+    sums = _Sums(algorithm, n - lag, tape.n_params, batch_count, size)
     phases = dict.fromkeys(("forward", "seed", "reverse", "reduce"), 0.0)
     counters = ReplayCounters()
     # one block buffer serves every pass: a buffer freed after each block
@@ -435,20 +436,31 @@ def grad_est1(tape: Tape, params, paths: PathBatch, targets, *,
 
     Pass one replays every path forward and keeps only the running sum of
     the outputs; pass two replays the forward values again for the reverse
-    sweep, so f_evals = 2 N and r_evals = N.
+    sweep, so f_evals = 2 N and r_evals = N.  The variance is the terms'
+    sample variance over N; ``batch_count=0`` skips it (all NaN), any other
+    count must be >= 2 and is not read.
     """
     return _estimate(1, tape, params, paths, targets, batch_count, n_threads)
 
 
 def grad_est2(tape: Tape, params, paths: PathBatch, targets, *,
               batch_count: int = 32, n_threads: int = 1) -> GradientEstimate:
-    """Single-pass estimator seeded with the previous path's residuals."""
+    """Single-pass estimator seeded with the previous path's residuals.
+
+    The variance comes from the means of ``batch_count`` batches (capped at
+    one per 16 terms; fewer than 2 give NaN).  ``batch_count=0`` skips it
+    (all NaN); any other count must be >= 2.  grad and the F/R counts do
+    not depend on it.
+    """
     return _estimate(2, tape, params, paths, targets, batch_count, n_threads)
 
 
 def grad_est3(tape: Tape, params, paths: PathBatch, targets, *,
               batch_count: int = 32, n_threads: int = 1) -> GradientEstimate:
-    """Single-pass estimator seeded with running-mean residuals."""
+    """Single-pass estimator seeded with running-mean residuals.
+
+    ``batch_count`` is read as by :func:`grad_est2`.
+    """
     return _estimate(3, tape, params, paths, targets, batch_count, n_threads)
 
 
@@ -463,7 +475,8 @@ def grad_est_batched(algorithm: int, tape: Tape, params, paths: PathBatch,
     chunk t-1 (algorithm 2) or from the running mean over all chunks before
     t (algorithm 3); chunk 0 is forward-only, so those algorithms reverse
     n_paths - c paths.  At width 1 every estimate is bit-identical to its
-    scalar counterpart.
+    scalar counterpart.  ``batch_count`` is read as by the scalar
+    estimators: 0 skips the variance.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")

@@ -182,6 +182,11 @@ def _terminal(spot, sig, t, w, exp):
     return spot * exp(sig * sig * (-0.5 * t) + sig * math.sqrt(t) * w)
 
 
+def _max0(x):
+    """(x)^+ for the numpy payoff program, in place: x is a fresh temporary."""
+    return np.maximum(x, 0.0, out=x)
+
+
 def _call_payoffs(spec: MarketSpec, knot_times, vols, inputs, exp, max0):
     """The payoff program: yields y_i = max0(S(T_i) - K_i) in option order.
 
@@ -221,38 +226,49 @@ def payoffs(spec: MarketSpec, curve: VolCurve, w):
     single = w.ndim == 1
     if single:
         w = w[None, :]
-    if w.shape[1] != spec.n_drivers:
+    _check_drivers(spec, w.shape[1])
+    out = np.empty((w.shape[0], spec.n_options), dtype=np.float64)
+    _write_payoffs(spec, curve, w, out)
+    return out[0] if single else out
+
+
+def _check_drivers(spec: MarketSpec, n_drivers: int) -> None:
+    if n_drivers != spec.n_drivers:
         raise ValueError(
             f"expected {spec.n_drivers} drivers (one per distinct expiry), "
-            f"got {w.shape[1]}"
+            f"got {n_drivers}"
         )
-    out = np.empty((w.shape[0], spec.n_options), dtype=np.float64)
+
+
+def _write_payoffs(spec: MarketSpec, curve: VolCurve, w, out) -> None:
+    """Run the payoff program on the rows of ``w``, option i into out[:, i]."""
     program = _call_payoffs(spec, curve.knot_times, curve.knot_vols, w.T,
-                            np.exp, lambda x: np.maximum(x, 0.0))
+                            np.exp, _max0)
     for i, y in enumerate(program):
         out[:, i] = y
-    return out[0] if single else out
 
 
 def loss(spec: MarketSpec, curve: VolCurve, paths: PathBatch) -> LossValue:
     """Monte-Carlo calibration loss over a path batch.
 
-    ``payoffs`` runs on blocks of ``_LOSS_ROWS`` paths, so no
-    (n_paths, n_options) payoff matrix is formed and a block's payoffs and
-    temporaries stay cache-sized.  The running sum of the payoffs is row 0
-    of a stack over each block, so rows add in path order.  For two or more
-    options ``y.mean(axis=0)`` adds in that order too, and ``expectations``
-    is bit-identical to the full-matrix mean; numpy sums a lone column
+    The payoff program runs on blocks of ``_LOSS_ROWS`` paths and writes
+    each block's payoffs straight into the rows after row 0 of a stack, so
+    no (n_paths, n_options) payoff matrix is formed and a block's payoffs
+    and temporaries stay cache-sized.  The running sum of the payoffs is
+    row 0, so rows add in path order.  For two or more options
+    ``payoffs(...).mean(axis=0)`` adds in that order too, and
+    ``expectations`` is bit-identical to it; numpy sums a lone column
     pairwise, so for one option the two differ in the last bits.
     """
     n = paths.n_paths
     if n < 1:
         raise ValueError("paths must be nonempty")
+    _check_drivers(spec, paths.n_inputs)
     stack = np.zeros((min(n, _LOSS_ROWS) + 1, spec.n_options))
     for lo in range(0, n, _LOSS_ROWS):
-        y = payoffs(spec, curve, paths.draws[lo: lo + _LOSS_ROWS])
-        stack[1: len(y) + 1] = y
-        stack[0] = np.einsum("ij->j", stack[: len(y) + 1])
+        w = paths.draws[lo: lo + _LOSS_ROWS]
+        _write_payoffs(spec, curve, w, stack[1: len(w) + 1])
+        stack[0] = np.einsum("ij->j", stack[: len(w) + 1])
     expectations = stack[0] / n
     residuals = expectations - spec.prices
     g = 0.5 * float(residuals @ residuals)

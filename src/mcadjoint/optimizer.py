@@ -7,7 +7,10 @@ of the Monte-Carlo adjoint estimators; the path set is regenerated from
 (seed, iteration) at the start of every iteration and frozen while that
 iteration's line search runs, so each line search sees a coherent
 objective.  The previous iteration's path set is released before the next
-is drawn, so at most one path set is alive at a time.
+is drawn, so at most one path set is alive at a time.  On a path set the
+loss is evaluated once per point: the gradient call that follows an
+accepted line search reuses the accepted probe's value, and the estimator
+computes no variance, which the driver never reads.
 """
 
 from __future__ import annotations
@@ -221,10 +224,16 @@ def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
     Each iteration draws a fresh path set from (seed, iteration), evaluates
     the Monte-Carlo loss and the algorithm's gradient estimate on it, and
     keeps that set frozen for the whole line search; the previous set is
-    released before the next is drawn.  ``config`` defaults
+    released before the next is drawn.  The estimator runs with
+    ``batch_count=0``: only its gradient is read.  The last loss value is
+    kept with the bytes of its point until the next set is drawn, so the
+    gradient call after an accepted line search reuses the accepted probe's
+    value instead of evaluating the loss again.  ``config`` defaults
     to the module's ``_CALIBRATION`` settings, which also fill an unset
     ``param_floor`` or ``max_step``.  Returns ``(calibrated_curve, trace)``;
-    the trace carries exact cumulative path-level forward/reverse counts.
+    the trace carries exact cumulative path-level forward/reverse counts of
+    the replays and loss forwards actually run: n_mc forwards per loss
+    value computed, plus each estimator call's (F, R).
     """
     if algorithm not in _ESTIMATORS:
         raise ValueError(f"algorithm must be 1, 2 or 3, got {algorithm}")
@@ -239,20 +248,26 @@ def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
     targets = spec.prices
     grad_fn = _ESTIMATORS[algorithm]
     cost = ReplayCounters()
-    state = {"paths": None}
+    # the path set, and the last loss value on it with its point's bytes
+    # (never keyed on id(): a freed array's address is reused)
+    state = {"paths": None, "last": (None, None)}
 
     def step_setup(iteration):
-        state["paths"] = None   # let the last set go before drawing the next
+        # let the last set go before drawing the next
+        state["paths"], state["last"] = None, (None, None)
         state["paths"] = rng.generate(_step_seed(seed, iteration), n_mc,
                                       tape.n_inputs, generator_id)
 
     def value_only(x):
-        lv = mdl.loss(spec, curve0.with_vols(x), state["paths"])
-        cost.f_evals += n_mc
-        return lv.g
+        key = x.tobytes()
+        if state["last"][0] != key:
+            lv = mdl.loss(spec, curve0.with_vols(x), state["paths"])
+            cost.f_evals += n_mc
+            state["last"] = key, lv.g
+        return state["last"][1]
 
     def fg(x):
-        g_est = grad_fn(tape, x, state["paths"], targets)
+        g_est = grad_fn(tape, x, state["paths"], targets, batch_count=0)
         cost.f_evals += g_est.f_evals
         cost.r_evals += g_est.r_evals
         return value_only(x), g_est.grad

@@ -588,6 +588,43 @@ class TestBlockWidthRule:
         assert lo % lag == 0 and 0 < hi - lo <= lag and hi == n
 
 
+NO_VARIANCE_RUNS = [
+    est.grad_est1, est.grad_est2, est.grad_est3,
+    *(lambda *a, alg=alg, **kw: est.grad_est_batched(alg, *a, width=8, **kw)
+      for alg in (1, 2, 3)),
+]
+NO_VARIANCE_IDS = ["alg1", "alg2", "alg3",
+                   "batched1-w8", "batched2-w8", "batched3-w8"]
+
+
+class TestNoVariance:
+    """``batch_count=0``: the same gradient and counts, no variance."""
+
+    @pytest.mark.parametrize("n", [10_007, 3 * 8192 + 17])
+    @pytest.mark.parametrize("run", NO_VARIANCE_RUNS, ids=NO_VARIANCE_IDS)
+    def test_same_gradient_and_counts_nan_variance(self, run, n):
+        spec, curve, tape = fixture_tape()
+        paths = generate(23, n, 5)
+        args = (tape, curve.knot_vols, paths, spec.prices)
+        full, bare = run(*args), run(*args, batch_count=0)
+        assert bare.grad.tobytes() == full.grad.tobytes()
+        assert (bare.f_evals, bare.r_evals) == (full.f_evals, full.r_evals)
+        assert np.isfinite(full.variance).all()
+        assert bare.variance.shape == full.variance.shape
+        assert np.isnan(bare.variance).all()
+
+    @pytest.mark.parametrize("algorithm", [1, 2, 3])
+    def test_builds_no_variance_accumulators(self, algorithm):
+        sums = est._Sums(algorithm, 10_000, 5, 0, 2048)
+        for name in ("mask", "s1", "s2", "nonzero", "sums"):
+            assert not hasattr(sums, name)
+        terms = np.ones((2048, 5))
+        sums.rows(2048)[...] = terms
+        sums.commit(2048)
+        assert sums.total.tolist() == [2048.0] * 5
+        assert np.isnan(sums.finish()).all()
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("run", [
@@ -603,22 +640,24 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("batch_count", [0, 1, -2])
     def test_lagged_batch_count_below_two_rejected(self, batch_count):
-        spec, curve, tape = fixture_tape()
-        paths = generate(20, 64, 5)
-        args = (tape, curve.knot_vols, paths, spec.prices)
+        # estimate_variance's batch means need two batches; the estimators
+        # read 0 as "no variance" (TestNoVariance)
         terms = np.random.default_rng(6).standard_normal((1000, 2))
-        for run in (lambda: est.estimate_variance(terms, 2, batch_count),
-                    lambda: est.estimate_variance(terms, 3, batch_count),
-                    lambda: est.grad_est2(*args, batch_count=batch_count),
-                    lambda: est.grad_est3(*args, batch_count=batch_count),
-                    lambda: est.grad_est_batched(2, *args, width=4,
-                                                 batch_count=batch_count)):
-            with pytest.raises(ValueError, match="batch_count"):
-                run()
+        for alg in (2, 3):
+            with pytest.raises(ValueError, match="batch_count must be >= 2"):
+                est.estimate_variance(terms, alg, batch_count)
         # algorithm 1 does not read it
         assert np.isfinite(est.estimate_variance(terms, 1, batch_count)).all()
-        e = est.grad_est1(*args, batch_count=batch_count)
-        assert np.isfinite(e.variance).all()
+
+    @pytest.mark.parametrize("batch_count", [1, -1])
+    @pytest.mark.parametrize("run", NO_VARIANCE_RUNS,
+                             ids=NO_VARIANCE_IDS)
+    def test_batch_count_is_zero_or_at_least_two(self, run, batch_count):
+        spec, curve, tape = fixture_tape()
+        paths = generate(20, 64, 5)
+        with pytest.raises(ValueError, match=r"batch_count must be 0 or >= 2"):
+            run(tape, curve.knot_vols, paths, spec.prices,
+                batch_count=batch_count)
 
 
 class TestSerialSweep:

@@ -225,7 +225,8 @@ class TestBlockedLoss:
         # the path counts below straddle this block size
         assert mdl._LOSS_ROWS == 8192
 
-    @pytest.mark.parametrize("n", [1, 2, 8191, 8192, 8193, 3 * 8192 + 17])
+    @pytest.mark.parametrize("n", [1, 2, 8191, 8192, 8193, 3 * 8192 + 17,
+                                   10**5])
     @pytest.mark.parametrize("market", ["default", "two options"])
     def test_equals_full_matrix_formula_bitwise(self, n, market):
         spec, curve = (mdl.default_fixture() if market == "default"
@@ -249,6 +250,15 @@ class TestBlockedLoss:
         lv = mdl.loss(ONE_OPTION, curve, paths)
         assert abs(lv.expectations[0] - full[0]) <= \
             n * np.finfo(float).eps * full[0]
+
+    @pytest.mark.parametrize("n_drivers", [4, 6])
+    def test_driver_count_checked_at_the_edge(self, n_drivers, monkeypatch):
+        # the batch is checked before any payoff block runs
+        spec, curve = mdl.default_fixture()
+        monkeypatch.setattr(mdl, "_call_payoffs", None)
+        with pytest.raises(ValueError,
+                           match=f"expected 5 drivers .*got {n_drivers}"):
+            mdl.loss(spec, curve, _paths(3, 10, n_drivers))
 
     def test_peak_memory_independent_of_path_count(self):
         spec, curve = mdl.default_fixture()

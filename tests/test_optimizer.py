@@ -204,8 +204,10 @@ class TestCalibrate:
         n_mc = 3000
         cfg = LbfgsConfig(max_iter=2, grad_norm_tol=1e-9, param_floor=1e-4)
         _, trace = calibrate(spec, curve, 1, n_mc, seed=3, config=cfg)
-        # every gradient evaluation is 2*n_mc forwards + n_mc reverses, plus
-        # n_mc forwards per loss-only probe
+        # every gradient call runs algorithm 1's 2*n_mc forwards and n_mc
+        # reverses; every loss value computed adds n_mc forwards (each probe
+        # computes one, and so does each gradient call that does not reuse
+        # its accepted probe's value)
         assert trace.records[-1].r_evals % n_mc == 0
         assert trace.records[-1].f_evals % n_mc == 0
         assert trace.records[-1].f_evals > trace.records[-1].r_evals
@@ -228,8 +230,10 @@ class TestCalibrate:
     @pytest.mark.parametrize("algorithm", [1, 2, 3])
     def test_one_loss_call_per_gradient_and_probe(self, algorithm,
                                                   monkeypatch):
-        # the benchmark reads model.loss calls and optimizer value/gradient
-        # calls from this accounting
+        # one loss call per gradient call and probe, less one per accepted
+        # line search: the gradient call after it reuses the accepted
+        # probe's value.  The benchmark reads model.loss calls and optimizer
+        # value/gradient calls from this accounting
         spec, curve = mdl.default_fixture()
         n_mc = 2000
         calls = {"loss": 0, "grad": 0, "probe": 0, "est_f": 0, "est_r": 0}
@@ -264,10 +268,54 @@ class TestCalibrate:
                              config=LbfgsConfig(max_iter=3))
         # the last record follows every call: no probe ran after it
         assert trace.status == "max_iter" and calls["probe"] >= 3
-        assert calls["loss"] == calls["grad"] + calls["probe"]
+        accepted = len(trace) - 1
+        assert accepted == 3
+        assert calls["loss"] == calls["grad"] + calls["probe"] - accepted
         assert trace.records[-1].f_evals == \
             calls["est_f"] + n_mc * calls["loss"]
         assert trace.records[-1].r_evals == calls["est_r"]
+
+    @pytest.mark.parametrize("algorithm", [1, 2, 3])
+    def test_every_value_is_the_loss_on_the_current_path_set(self, algorithm,
+                                                             monkeypatch):
+        # a reused value must be the loss at that very point on the set
+        # drawn for this iteration.  The set is watched through a weak
+        # reference, so a freed set's memory is free for the next draw, as
+        # in a plain run: a cache keyed on id() of the draws then hands out
+        # the previous set's value
+        spec, curve = mdl.default_fixture()
+        generate, minimize, loss = (opt.rng.generate, opt.lbfgs_minimize,
+                                    mdl.loss)
+        current, checked = [], []
+
+        def tracked_generate(*args, **kwargs):
+            batch = generate(*args, **kwargs)
+            current[:] = [weakref.ref(batch)]
+            return batch
+
+        def check(x, value):
+            fresh = loss(spec, curve.with_vols(x), current[0]()).g
+            assert np.float64(value).tobytes() == np.float64(fresh).tobytes()
+            checked.append(value)
+
+        def checked_minimize(fg, x0, config, *, value_fn, **kwargs):
+            def grad(x):
+                value, g = fg(x)
+                check(x, value)
+                return value, g
+
+            def probe(x):
+                value = value_fn(x)
+                check(x, value)
+                return value
+
+            return minimize(grad, x0, config, value_fn=probe, **kwargs)
+
+        monkeypatch.setattr(opt.rng, "generate", tracked_generate)
+        monkeypatch.setattr(opt, "lbfgs_minimize", checked_minimize)
+        _, trace = calibrate(spec, curve, algorithm, 4000, seed=6,
+                             config=LbfgsConfig(max_iter=6))
+        assert trace.status == "max_iter" and len(checked) > 2 * 6
 
     @pytest.mark.parametrize("algorithm", [1, 2, 3])
     def test_holds_one_path_set(self, algorithm, monkeypatch):
