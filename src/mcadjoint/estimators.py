@@ -110,7 +110,7 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
     terms = np.asarray(per_path_terms, dtype=np.float64)
     if terms.ndim == 1:
         terms = terms[:, None]
-    n = terms.shape[0]
+    n, m = terms.shape
     if algorithm in (2, 3):
         if batch_count < 2:
             raise ValueError(f"batch_count must be >= 2, got {batch_count}")
@@ -119,12 +119,11 @@ def estimate_variance(per_path_terms, algorithm: int, batch_count: int = 32) -> 
                 f"too few paths for the batch count: {n} terms cannot fill "
                 f"{batch_count} batches of at least 16"
             )
+        sums = _Sums(m, min(n, BLOCK_PATHS), batches=batch_count, n_terms=n)
     elif algorithm == 1:
-        batch_count = 2  # _Sums reads any count >= 2 as "variance wanted"
+        sums = _Sums(m, min(n, BLOCK_PATHS), iid=True)
     else:
         raise ValueError(f"unknown algorithm {algorithm}")
-    sums = _Sums(algorithm, n, terms.shape[1], batch_count,
-                 min(n, BLOCK_PATHS))
     for lo in range(0, n, BLOCK_PATHS):
         rows = terms[lo: lo + BLOCK_PATHS]
         sums.rows(len(rows))[...] = rows
@@ -142,34 +141,32 @@ class _Sums:
     column that pads M = 1; with each running sum carried in row 0, every
     sum is taken in path order, whatever the blocks.
 
-    ``total`` is the terms' running sum.  For the variance, algorithm 1
-    keeps running sums of the nonzero terms' offsets from the first term
-    and of their squares (shifted data: Chan, Golub & LeVeque, 1983), and
-    counts the zero terms (paths that carry no gradient) instead of adding
-    them: one rounded offset added in order 10^6 times drifts the fixture's
-    variance by up to 1e-10 relative.  Algorithms 2 and 3 keep the in-order
-    sum of each of ``batch_count`` batches, a batch that a block edge splits
-    carrying its partial sum into the next block.  A count below 2 builds
-    none of these accumulators and leaves the variance NaN, for every
-    algorithm (algorithm 1 reads no other count).
+    ``total`` is the terms' running sum, by default the only one kept (the
+    variance is NaN).  For i.i.d. terms' sample variance ``iid`` keeps
+    running sums of the nonzero terms' offsets from the first term and of
+    their squares (shifted data: Chan, Golub & LeVeque, 1983), and counts
+    the zero terms (paths that carry no gradient) instead of adding them:
+    one rounded offset added in order 10^6 times drifts the fixture's
+    variance by up to 1e-10 relative.  Otherwise ``batches`` >= 2 keeps the
+    in-order sum of each of that many batches of ``n_terms // batches``
+    terms, a batch that a block edge splits carrying its partial sum.
     """
 
-    def __init__(self, algorithm: int, n_terms: int, n_cols: int,
-                 batch_count: int, rows: int):
-        self.algorithm = algorithm
-        self.n_terms = n_terms
+    def __init__(self, n_cols: int, rows: int, *, iid: bool = False,
+                 batches: int = 0, n_terms: int = 0):
         self.n_cols = n_cols
         width = max(2, n_cols)
         self.stack = np.zeros((1 + rows, width))
         self.total = self.stack[0, :n_cols]
         self.done = 0  # rows reduced
-        self.batches = batch_count if batch_count >= 2 else 0
-        if algorithm == 1 and self.batches:
+        self.iid = iid
+        self.batches = batches if batches >= 2 else 0
+        if iid:
             self.s1, self.s2, self.nonzero = np.zeros((3, width))
             self.mask = np.empty((rows, width))
         elif self.batches:
-            self.size = n_terms // batch_count
-            self.sums = np.zeros((self.batches, width))
+            self.size = n_terms // batches
+            self.sums = np.zeros((batches, width))
 
     def rows(self, k: int) -> np.ndarray:
         return self.stack[1: 1 + k, : self.n_cols]
@@ -178,7 +175,7 @@ class _Sums:
         lo, stack = self.done, self.stack[: 1 + k]
         total = np.einsum("ij->j", stack)
         self.done += k
-        if self.algorithm == 1 and self.batches:
+        if self.iid:
             rows, mask = stack[1:], self.mask[:k]
             if not lo:
                 self.shift = rows[0].copy()
@@ -197,14 +194,13 @@ class _Sums:
 
     def finish(self) -> np.ndarray:
         """The variance of the terms' mean."""
-        n, m = self.n_terms, self.n_cols
-        if self.algorithm == 1:
-            if self.batches and n >= 2:
-                zeros = n - self.nonzero
-                s1 = self.s1 - zeros * self.shift
-                s2 = self.s2 + zeros * self.shift * self.shift
-                return np.maximum(s2 - s1 * s1 / n, 0.0)[:m] / (n - 1) / n
-        elif self.batches:
+        n, m = self.done, self.n_cols
+        if self.iid and n >= 2:
+            zeros = n - self.nonzero
+            s1 = self.s1 - zeros * self.shift
+            s2 = self.s2 + zeros * self.shift * self.shift
+            return np.maximum(s2 - s1 * s1 / n, 0.0)[:m] / (n - 1) / n
+        if self.batches:
             means = self.sums[:, :m] / self.size
             return means.var(axis=0, ddof=1) / self.batches
         return np.full(m, np.nan)
@@ -379,9 +375,11 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
         )
     ranges = _block_ranges(n, max(1, lag))
     size = ranges[0][1]
-    if algorithm != 1:  # small runs cap the batch count instead of failing
-        batch_count = min(batch_count, (n - lag) // 16)
-    sums = _Sums(algorithm, n - lag, tape.n_params, batch_count, size)
+    if algorithm != 1 and batch_count:  # small runs cap the count
+        sums = _Sums(tape.n_params, size, n_terms=n - lag,
+                     batches=min(batch_count, (n - lag) // 16))
+    else:  # algorithm 1's variance or none
+        sums = _Sums(tape.n_params, size, iid=batch_count > 0)
     phases = dict.fromkeys(("forward", "seed", "reverse", "reduce"), 0.0)
     counters = ReplayCounters()
     # one block buffer serves every pass: a buffer freed after each block
@@ -390,8 +388,11 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
     buffer = tape.alloc_buffer(size)
     with tape.bound(buffer):
         if algorithm == 1:
-            # pass one carries the outputs' sum as row 0 of a stack over
-            # each block, so rows add in path order (see _Sums)
+            # pass one carries the outputs' sum as row 0 of a stack, so rows
+            # add in path order as in _Sums; its .sum(axis=0) keeps criterion
+            # 5's margin: on _Sums's einsum this seed phase fell from 21-22 to
+            # 11 ms at 10^6 paths and t1/t3 read 1.29-1.30 in 2 of 4 solo runs
+            # (1.48-1.60 with this sum; the gate is 1.3, 2-vCPU host)
             m = tape.n_outputs
             stack = np.zeros((size + 1, max(2, m)))
 
@@ -504,25 +505,23 @@ class SpeedupReport:
     degenerate: bool = False
 
 
-def _replay_cost(tape: Tape, params, draws, width: int) -> tuple:
+def _replay_cost(tape: Tape, params, paths: PathBatch, n_rows: int,
+                 width: int) -> tuple:
     """Per-path forward and reverse seconds of ``width``-lane replays.
 
-    Each full ``width``-row slice of ``draws`` is replayed forward, then in
-    reverse, through one reused buffer, bound as the estimators bind theirs.
+    The full ``width``-row blocks of the first ``n_rows`` paths go through
+    ``_sweep`` with unit seeds, bound as the estimators bind their buffer;
+    the sweep's forward and reverse phases are the times.
     """
-    buf = tape.alloc_buffer(width)
-    seeds = np.ones((tape.n_outputs, width)).T  # lane-major, as _sweep's
-    n = len(draws) // width * width
-    t_f = t_r = 0.0
-    with tape.bound(buf):
-        for lo in range(0, n, width):
-            t0 = time.perf_counter()
-            tape.replay_forward(params, draws[lo: lo + width], buffer=buf)
-            t1 = time.perf_counter()
-            tape.replay_reverse(buf, seeds)
-            t_f += t1 - t0
-            t_r += time.perf_counter() - t1
-    return t_f / n, t_r / n
+    n = min(n_rows, paths.n_paths) // width * width
+    ranges = [(lo, lo + width) for lo in range(0, n, width)]
+    ones = np.ones((tape.n_outputs, width))
+    phases = dict.fromkeys(("forward", "seed", "reverse", "reduce"), 0.0)
+    buffer = tape.alloc_buffer(width)
+    with tape.bound(buffer):
+        _sweep(tape, params, paths, ranges, buffer, ReplayCounters(),
+               lambda lo, hi, y: ones, phases, _Sums(tape.n_params, width))
+    return phases["forward"] / n, phases["reverse"] / n
 
 
 def measure_correction_coefficients(tape: Tape, params, paths: PathBatch,
@@ -550,8 +549,8 @@ def measure_correction_coefficients(tape: Tape, params, paths: PathBatch,
         raise ValueError("need at least one full-width chunk to measure")
 
     # per run: scalar forward, scalar reverse, batched forward, batched reverse
-    runs = np.array([_replay_cost(tape, params, paths.draws[:_SCALAR_PATHS], 1)
-                     + _replay_cost(tape, params, paths.draws, width)
+    runs = np.array([_replay_cost(tape, params, paths, _SCALAR_PATHS, 1)
+                     + _replay_cost(tape, params, paths, paths.n_paths, width)
                      for _ in range(repeats)])
     k_f_runs = (width * runs[:, 2] / runs[:, 0]).tolist()
     k_r_runs = (width * runs[:, 3] / runs[:, 1]).tolist()

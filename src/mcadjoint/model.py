@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import tape as tp
+from .estimators import _Sums
 from .rng_paths import PathBatch
 
 __all__ = [
@@ -251,25 +252,24 @@ def _write_payoffs(spec: MarketSpec, curve: VolCurve, w, out) -> None:
 def loss(spec: MarketSpec, curve: VolCurve, paths: PathBatch) -> LossValue:
     """Monte-Carlo calibration loss over a path batch.
 
-    The payoff program runs on blocks of ``_LOSS_ROWS`` paths and writes
-    each block's payoffs straight into the rows after row 0 of a stack, so
-    no (n_paths, n_options) payoff matrix is formed and a block's payoffs
-    and temporaries stay cache-sized.  The running sum of the payoffs is
-    row 0, so rows add in path order.  For two or more options
-    ``payoffs(...).mean(axis=0)`` adds in that order too, and
-    ``expectations`` is bit-identical to it; numpy sums a lone column
-    pairwise, so for one option the two differ in the last bits.
+    The payoff program writes blocks of ``_LOSS_ROWS`` paths straight into
+    the rows of a total-only ``estimators._Sums``: no (n_paths, n_options)
+    payoff matrix is formed, a block's temporaries stay cache-sized, and
+    the payoffs add in path order for any number of options and blocks.
+    ``payoffs(...).mean(axis=0)`` adds in that order too for two or more
+    options, and is then bit-identical to ``expectations``; it sums a lone
+    column pairwise, so for one option only that mean differs in its bits.
     """
     n = paths.n_paths
     if n < 1:
         raise ValueError("paths must be nonempty")
     _check_drivers(spec, paths.n_inputs)
-    stack = np.zeros((min(n, _LOSS_ROWS) + 1, spec.n_options))
+    sums = _Sums(spec.n_options, min(n, _LOSS_ROWS))
     for lo in range(0, n, _LOSS_ROWS):
         w = paths.draws[lo: lo + _LOSS_ROWS]
-        _write_payoffs(spec, curve, w, stack[1: len(w) + 1])
-        stack[0] = np.einsum("ij->j", stack[: len(w) + 1])
-    expectations = stack[0] / n
+        _write_payoffs(spec, curve, w, sums.rows(len(w)))
+        sums.commit(len(w))
+    expectations = sums.total / n
     residuals = expectations - spec.prices
     g = 0.5 * float(residuals @ residuals)
     return LossValue(g=g, expectations=expectations, residuals=residuals)

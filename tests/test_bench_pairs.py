@@ -102,69 +102,10 @@ def test_run_once_keeps_import_and_setup_times(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
     run = bench_pairs.run_once(tmp_path, "w", 1, 0.0)
-    assert len(run.pop("loadavg")) == 3
-    run.pop("steal")
     assert run == {"returncode": 0, "failed": 0, "attempted": 3,
                    "env": {"nproc": 2}, "import_s": 0.31,
                    "setup_repeats_s": [0.03, 0.02, 0.025],
                    "metrics": {"setup_s": 0.335}}
-
-
-@pytest.mark.parametrize("crashes", [False, True])
-def test_run_once_records_the_load_before_the_run(tmp_path, monkeypatch,
-                                                  crashes):
-    # the stub leaves a file behind when it runs, and may then crash
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text(
-        "open('ran', 'w').close()\n"
-        + ("raise SystemExit(3)\n" if crashes else STUB_RUN))
-    ran_before = []
-
-    def getloadavg():
-        ran_before.append((tmp_path / "ran").exists())
-        return (1.5, 1.25, 0.75)
-
-    monkeypatch.setattr(bench_pairs.os, "getloadavg", getloadavg)
-    run = bench_pairs.run_once(tmp_path, "w", 1, 0.0)
-    assert run["loadavg"] == [1.5, 1.25, 0.75] and ran_before == [False]
-    assert (tmp_path / "ran").exists()
-    assert run["failed"] == (None if crashes else 0)
-
-
-@pytest.mark.parametrize("crashes", [False, True])
-def test_run_once_records_the_steal_share_around_the_run(tmp_path,
-                                                         monkeypatch,
-                                                         crashes):
-    # a stub reader gives (steal, total) ticks; the stub run marks when it ran
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text(
-        "open('ran', 'w').close()\n"
-        + ("raise SystemExit(3)\n" if crashes else STUB_RUN))
-    readings, ran = iter([(100, 1000), (130, 1200)]), []
-
-    def cpu_ticks():
-        ran.append((tmp_path / "ran").exists())
-        return next(readings)
-
-    monkeypatch.setattr(bench_pairs, "cpu_ticks", cpu_ticks)
-    run = bench_pairs.run_once(tmp_path, "w", 1, 0.0)
-    assert ran == [False, True]
-    assert run["steal"] == pytest.approx(30 / 200)
-    assert run["failed"] == (None if crashes else 0)
-
-
-def test_cpu_ticks_reads_the_cpu_line(tmp_path, monkeypatch):
-    stat = tmp_path / "stat"
-    stat.write_text("cpu  4596 7 2841 96742 400 3 4662 2664 11 0\n"
-                    "cpu0 2298 3 1420 48371 200 1 2331 1332 5 0\n")
-    monkeypatch.setattr(bench_pairs, "PROC_STAT", stat)
-    assert bench_pairs.cpu_ticks() == (
-        2664, 4596 + 7 + 2841 + 96742 + 400 + 3 + 4662 + 2664)
-    # no /proc/stat: no reading, and no share
-    monkeypatch.setattr(bench_pairs, "PROC_STAT", tmp_path / "missing")
-    assert bench_pairs.cpu_ticks() is None
-    assert bench_pairs.steal_share(None, (1, 2)) is None
-    assert bench_pairs.steal_share((1, 2), None) is None
 
 
 TRACED_STUB_RUN = '''import json, sys

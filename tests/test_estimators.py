@@ -614,14 +614,23 @@ class TestNoVariance:
         assert np.isnan(bare.variance).all()
 
     @pytest.mark.parametrize("algorithm", [1, 2, 3])
-    def test_builds_no_variance_accumulators(self, algorithm):
-        sums = est._Sums(algorithm, 10_000, 5, 0, 2048)
+    def test_builds_no_variance_accumulators(self, algorithm, monkeypatch):
+        built = []
+
+        class Spy(est._Sums):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(est, "_Sums", Spy)
+        spec, curve, tape = fixture_tape()
+        run = est.grad_est_batched(algorithm, tape, curve.knot_vols,
+                                   generate(23, 10_000, 5), spec.prices, 1,
+                                   batch_count=0)
+        [sums] = built
         for name in ("mask", "s1", "s2", "nonzero", "sums"):
             assert not hasattr(sums, name)
-        terms = np.ones((2048, 5))
-        sums.rows(2048)[...] = terms
-        sums.commit(2048)
-        assert sums.total.tolist() == [2048.0] * 5
+        assert sums.done == run.r_evals
         assert np.isnan(sums.finish()).all()
 
 

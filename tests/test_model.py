@@ -218,8 +218,9 @@ ONE_OPTION = MarketSpec(spot=100.0, options=(OptionQuote(100.0, 1.0, 8.0),))
 
 
 class TestBlockedLoss:
-    """``loss`` sums the payoffs block by block; it keeps the full-matrix
-    formula's bits and holds no (n_paths, n_options) matrix."""
+    """``loss`` sums the payoffs block by block, in path order, and holds no
+    (n_paths, n_options) matrix; two or more options keep the full-matrix
+    formula's bits."""
 
     def test_block_is_8192_paths(self):
         # the path counts below straddle this block size
@@ -250,6 +251,21 @@ class TestBlockedLoss:
         lv = mdl.loss(ONE_OPTION, curve, paths)
         assert abs(lv.expectations[0] - full[0]) <= \
             n * np.finfo(float).eps * full[0]
+
+    @pytest.mark.parametrize("n", [8193, 3 * 8192 + 17, 10**5])
+    def test_one_option_sums_in_path_order(self, n, monkeypatch):
+        # a lone column too: the sequential sum, whatever the block size
+        curve = VolCurve([1.0], [0.2])
+        paths = _paths(6, n, 1)
+        total = 0.0
+        for y in mdl.payoffs(ONE_OPTION, curve, paths.draws)[:, 0].tolist():
+            total += y
+        expectations = np.array([total]) / n
+        lv = mdl.loss(ONE_OPTION, curve, paths)
+        assert lv.expectations.tobytes() == expectations.tobytes()
+        monkeypatch.setattr(mdl, "_LOSS_ROWS", 1024)
+        lv = mdl.loss(ONE_OPTION, curve, paths)
+        assert lv.expectations.tobytes() == expectations.tobytes()
 
     @pytest.mark.parametrize("n_drivers", [4, 6])
     def test_driver_count_checked_at_the_edge(self, n_drivers, monkeypatch):

@@ -11,11 +11,8 @@ runs first alternates from pair to pair, and both runs of a pair use the
 same workload seed (``--seed`` plus the pair's index in this invocation).  An existing
 ``--out`` file is extended: its runs are kept and new pairs are numbered
 after them.  The output holds every run (its ``failed`` count, metrics,
-import time, set-up repeat times, the host's 1/5/15-minute load averages
-just before it, and the share of CPU time stolen from the host by other
-tenants during it, to tell a pair's swing from host load), the
-environment of the first run, each side's crashed runs and share of
-failed ops, and per end-to-end
+import time and set-up repeat times), the environment of the first run,
+each side's crashed runs and share of failed ops, and per end-to-end
 metric of BENCHMARK.json: each side's median and quartiles over the
 pairs where both sides completed, the pairs the change wins, loses and ties by the metric's ``better``
 direction, and whether the gain rule holds (wins in at least nine tenths
@@ -32,62 +29,32 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-PROC_STAT = Path("/proc/stat")
-
-
-def cpu_ticks():
-    """``(steal, total)`` ticks of the ``cpu`` line of /proc/stat (all
-    CPUs), or None where that file is missing.  The total is user through
-    steal; guest time is already inside user and nice."""
-    try:
-        with open(PROC_STAT) as fh:
-            fields = fh.readline().split()
-    except OSError:
-        return None
-    ticks = [int(v) for v in fields[1:9]]
-    return ticks[7], sum(ticks)
-
-
-def steal_share(before, after):
-    """Stolen share of the CPU ticks between two ``cpu_ticks`` readings."""
-    if before is None or after is None or after[1] <= before[1]:
-        return None
-    return (after[0] - before[0]) / (after[1] - before[1])
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
     """One benchmark run: its result line, plus the env line's environment,
     import time and set-up repeat times, so that a move in ``setup_s`` can
-    be split into import and set-up work, the load averages taken just
-    before it, and its ``steal`` share from /proc/stat read just before
-    and just after it (None without that file).  The metrics are the
-    end-to-end ones untraced, the per-layer ones with ``trace`` 1."""
-    loadavg = list(os.getloadavg())
-    ticks = cpu_ticks()
+    be split into import and set-up work.  The metrics are the end-to-end
+    ones untraced, the per-layer ones with ``trace`` 1."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
-    steal = steal_share(ticks, cpu_ticks())
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         return {"returncode": proc.returncode, "failed": None,
-                "loadavg": loadavg, "steal": steal,
                 "error": (proc.stdout + proc.stderr)[-2000:]}
     info, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {"returncode": 0, "failed": result["failed"],
-            "attempted": result["attempted"], "loadavg": loadavg,
-            "steal": steal,
-            "env": info["env"],
+            "attempted": result["attempted"], "env": info["env"],
             "import_s": info["import_s"],
             "setup_repeats_s": info["setup_repeats_s"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
