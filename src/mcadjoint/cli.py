@@ -15,10 +15,8 @@ human-readable table on stdout.  Every estimate is reproducible from
 from __future__ import annotations
 
 import argparse
-import csv
 import statistics
 import sys
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -28,6 +26,7 @@ from . import estimators as est
 from . import model as mdl
 from . import optimizer as opt
 from . import rng_paths as rng
+from .optimizer import _write_csv, read_csv_table
 
 __all__ = [
     "RunConfig",
@@ -75,44 +74,22 @@ class RunConfig:
             raise ValueError(f"unknown generator {self.generator_id!r}; "
                              f"choose from {rng.GENERATOR_IDS}")
 
-    def load_market(self):
-        if self.spec_path is None:
-            return mdl.default_fixture()
-        return mdl.load_market_file(self.spec_path)
-
-    def ensure_out(self) -> Path:
+    def setup(self):
+        """The market (the built-in fixture without --spec), its tape, and
+        the output directory, made if missing."""
+        spec, curve = (mdl.default_fixture() if self.spec_path is None
+                       else mdl.load_market_file(self.spec_path))
         out = Path(self.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return out
+        return spec, curve, mdl.build_model_tape(spec, curve), out
 
 
 def _timed_estimate(cfg: RunConfig, alg, tape, vols, paths, targets):
-    """Median-of-repeats wall time; the estimate itself is seed-determined."""
-    times = []
-    for _ in range(cfg.repeats):
-        t0 = time.perf_counter()
-        estimate = opt._ESTIMATORS[alg](tape, vols, paths, targets)
-        times.append(time.perf_counter() - t0)
-    return estimate, statistics.median(times) * 1e6  # microseconds
-
-
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                        else v for v in row])
-    return path
-
-
-def read_csv_table(path):
-    """Re-read any CSV the harness writes: (header, rows of floats)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return header, rows
+    """The estimate, which the seed determines, and the median of its
+    repeats' own wall times in microseconds."""
+    runs = [opt._ESTIMATORS[alg](tape, vols, paths, targets)
+            for _ in range(cfg.repeats)]
+    return runs[-1], statistics.median(e.millis for e in runs) * 1e3
 
 
 def _print_table(title, header, rows):
@@ -126,9 +103,7 @@ def _print_table(title, header, rows):
 
 def cmd_variance_table(cfg: RunConfig):
     """One CSV per algorithm: rows are N_mc, columns time and Var(G_k)."""
-    spec, curve = cfg.load_market()
-    tape = mdl.build_model_tape(spec, curve)
-    out = cfg.ensure_out()
+    spec, curve, tape, out = cfg.setup()
     m = curve.n_knots
     header = ["n_mc", "time_us"] + [f"var_g{k + 1}" for k in range(m)]
     paths_written = []
@@ -150,9 +125,7 @@ def cmd_variance_table(cfg: RunConfig):
 
 def cmd_gradient(cfg: RunConfig):
     """Gradient comparison at fixed N_mc (the first --nmc value)."""
-    spec, curve = cfg.load_market()
-    tape = mdl.build_model_tape(spec, curve)
-    out = cfg.ensure_out()
+    spec, curve, tape, out = cfg.setup()
     n_mc = cfg.n_mc_list[0]
     paths = rng.generate(cfg.seed, n_mc, tape.n_inputs, cfg.generator_id)
     m = curve.n_knots
@@ -184,8 +157,7 @@ def cmd_gradient(cfg: RunConfig):
 def cmd_calibrate(cfg: RunConfig):
     """One calibration trace CSV per requested (algorithm, N_mc)."""
     config = replace(opt._CALIBRATION, max_iter=cfg.max_iter)
-    spec, curve = cfg.load_market()
-    out = cfg.ensure_out()
+    spec, curve, _, out = cfg.setup()
     written = []
     for alg in cfg.algorithms:
         for n_mc in cfg.n_mc_list:
@@ -204,9 +176,7 @@ def cmd_calibrate(cfg: RunConfig):
 def cmd_measure_speedup(cfg: RunConfig):
     """Wall-time comparison of scalar vs width-c batched replay on the first
     --nmc paths."""
-    spec, curve = cfg.load_market()
-    tape = mdl.build_model_tape(spec, curve)
-    out = cfg.ensure_out()
+    spec, curve, tape, out = cfg.setup()
     n_mc = cfg.n_mc_list[0]
     paths = rng.generate(cfg.seed, n_mc, tape.n_inputs, cfg.generator_id)
     report = est.measure_correction_coefficients(

@@ -356,7 +356,8 @@ def _lagged_seeds(algorithm: int, lag: int, targets, size: int):
 def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
               batch_count: int, n_threads: int, lag: int = 1) -> GradientEstimate:
     """Run algorithm 1, 2 or 3 on the block engine (algorithm 1 ignores lag)."""
-    # grad_est1/2/3 keep n_threads for old callers; the sweep is serial
+    # the sweep is serial: n_threads stays only for perfbench/workloads.py's
+    # calls (lines 76, 151 and 175), and ROADMAP item 4 deletes it
     if n_threads != 1:
         raise ValueError(f"n_threads must be 1, got {n_threads}")
     t0 = time.perf_counter()

@@ -10,7 +10,8 @@ objective.  The previous iteration's path set is released before the next
 is drawn, so at most one path set is alive at a time.  On a path set the
 loss is evaluated once per point: the gradient call that follows an
 accepted line search reuses the accepted probe's value, and the estimator
-computes no variance, which the driver never reads.
+computes no variance, which the driver never reads.  The module also
+holds the package's one CSV writer and reader: traces and CLI tables.
 """
 
 from __future__ import annotations
@@ -278,7 +279,28 @@ def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
     return curve0.with_vols(x_final), trace
 
 
-# -- trace CSV ----------------------------------------------------------------
+# -- CSV tables ---------------------------------------------------------------
+
+
+def _write_csv(path, header, rows):
+    """A header line, then one line per row; floats as repr, so they read
+    back bit for bit."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
+                        else v for v in row])
+    return path
+
+
+def read_csv_table(path):
+    """Re-read any CSV the package writes: (header, rows of floats)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [[float(v) for v in row] for row in reader]
+    return header, rows
 
 
 def write_trace_csv(path, trace: CalibrationTrace) -> None:
@@ -289,30 +311,20 @@ def write_trace_csv(path, trace: CalibrationTrace) -> None:
     header = (["iter", "loss", "grad_norm"]
               + [f"param_{i + 1}" for i in range(n_params)]
               + ["f_evals", "r_evals", "millis"])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r in trace.records:
-            w.writerow([r.iteration, repr(float(r.loss)), repr(float(r.grad_norm))]
-                       + [repr(float(v)) for v in r.params]
-                       + [r.f_evals, r.r_evals, repr(float(r.millis))])
+    _write_csv(path, header, ([r.iteration, float(r.loss), float(r.grad_norm),
+                               *r.params.astype(float), r.f_evals, r.r_evals,
+                               float(r.millis)] for r in trace.records))
 
 
 def read_trace_csv(path) -> CalibrationTrace:
+    header, rows = read_csv_table(path)
+    n_params = len(header) - 6
     trace = CalibrationTrace()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n_params = len(header) - 6
-        for row in reader:
-            trace.append(TraceRecord(
-                iteration=int(row[0]),
-                loss=float(row[1]),
-                grad_norm=float(row[2]),
-                params=np.array([float(v) for v in row[3:3 + n_params]]),
-                f_evals=int(row[3 + n_params]),
-                r_evals=int(row[4 + n_params]),
-                millis=float(row[5 + n_params]),
-            ))
+    for row in rows:
+        trace.append(TraceRecord(
+            iteration=int(row[0]), loss=row[1], grad_norm=row[2],
+            params=np.array(row[3:3 + n_params]),
+            f_evals=int(row[3 + n_params]), r_evals=int(row[4 + n_params]),
+            millis=row[5 + n_params]))
     trace.status = "loaded"
     return trace

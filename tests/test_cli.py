@@ -1,5 +1,6 @@
 """Command-line harness: subcommands, CSV round-trips, flag precedence."""
 
+import itertools
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import mcadjoint.cli as cli
 import mcadjoint.estimators as est
 import mcadjoint.model as mdl
+import mcadjoint.optimizer as opt
 from mcadjoint.optimizer import read_trace_csv
 
 
@@ -94,6 +96,31 @@ class TestGradient:
         b = cli.read_csv_table(cli.cmd_gradient(cfg))
         for ra, rb in zip(a[1], b[1]):
             assert ra[2:] == rb[2:]  # identical gradients, timing aside
+
+
+class TestTiming:
+    def test_time_is_median_of_the_estimates_millis(self, tmp_path,
+                                                    market_file, monkeypatch):
+        # every row's three repeats report 1, 5 and 3 ms of their own
+        millis = itertools.cycle([1.0, 5.0, 3.0])
+
+        def estimate(tape, params, paths, targets):
+            return est.GradientEstimate(np.zeros(5), np.ones(5), paths.n_paths,
+                                        0, 0, 1, millis=next(millis))
+
+        for alg in (1, 2, 3):
+            monkeypatch.setitem(opt._ESTIMATORS, alg, estimate)
+        out = tmp_path / "o"
+        for subcommand in ("variance-table", "gradient"):
+            assert cli.main([subcommand, "--spec", str(market_file),
+                             "--nmc", "400,900", "--repeats", "3",
+                             "--out", str(out)]) == 0
+        tables = sorted(out.glob("*.csv"))
+        assert len(tables) == 4  # three variance tables and the gradient
+        for path in tables:
+            header, rows = cli.read_csv_table(path)
+            assert [row[header.index("time_us")] for row in rows] == (
+                [3000.0] * len(rows))
 
 
 class TestCalibrate:

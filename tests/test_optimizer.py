@@ -13,6 +13,7 @@ from mcadjoint.optimizer import (
     TraceRecord,
     calibrate,
     lbfgs_minimize,
+    read_csv_table,
     read_trace_csv,
     write_trace_csv,
 )
@@ -172,6 +173,13 @@ class TestTrace:
             assert a.loss == b.loss
             assert a.f_evals == b.f_evals
             np.testing.assert_array_equal(a.params, b.params)
+        # the generic table reader reads the same file
+        header, rows = read_csv_table(path)
+        assert header == ["iter", "loss", "grad_norm", "param_1", "param_2",
+                          "f_evals", "r_evals", "millis"]
+        assert rows == [[r.iteration, r.loss, r.grad_norm, *r.params,
+                         r.f_evals, r.r_evals, r.millis]
+                        for r in trace.records]
 
 
 class TestCalibrate:
