@@ -143,12 +143,7 @@ def generate(seed: int, n_paths: int, n_inputs: int,
 
     The draws are ``generate_rows`` over rows [0, n_paths).
     """
-    _check_integer("n_paths", n_paths)
-    if n_paths < 2:
-        raise ValueError(
-            "n_paths must be >= 2: the lagged estimators (algorithms 2 and 3) "
-            "pair each path with its predecessor"
-        )
+    _check_integer("n_paths", n_paths, 1)
     draws = generate_rows(seed, generator_id, 0, n_paths, n_inputs)
     return PathBatch(draws=draws, seed=int(seed), generator_id=generator_id)
 

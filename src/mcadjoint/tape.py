@@ -16,9 +16,10 @@ Each tape is compiled once, when it is built, into static schedules
   invariant operands as scalars;
 * nodes that reach no output are dropped;
 * the reverse schedule forms adjoints only for active nodes (those that
-  depend on a parameter and reach an output), writes each adjoint's first
-  contribution by assignment instead of accumulating onto zeros, and reuses
-  an adjoint's storage once its node has been swept.
+  depend on a parameter and reach an output) as write-once symbols: a
+  first contribution is the adjoint itself, never a sum onto zeros or a
+  copy.  One placement pass gives the symbols rows, reusing a row once no
+  later step reads it and writing in place where an operand dies.
 
 The replay engine operates on numpy arrays of shape ``(n_lanes,)`` per tape
 node, so a scalar replay (``Tape.forward``/``Tape.reverse``) is a one-lane
@@ -268,6 +269,29 @@ def _index(seq):
     return np.asarray(seq, dtype=np.intp)
 
 
+def _place(steps, n_seeds, keep, base):
+    """``(row, n_rows)``: ``row`` maps each symbol of a write-once schedule
+    to a row from ``base`` on, placed in one linear scan.
+
+    Symbols ``base .. base + n_seeds - 1`` are the seeds and take the first
+    rows; step ``i`` writes symbol ``base + n_seeds + i``.  A row is free
+    once no later step reads its symbol, unless the symbol is in ``keep``.
+    A step whose operand dies there takes that operand's row: in place.
+    """
+    last = {s: i for i, (_, x, y, _) in enumerate(steps) for s in (x, y)}
+    last.update(dict.fromkeys(keep, len(steps)))
+    row = {base + k: base + k for k in range(n_seeds)}
+    free, top = [], base + n_seeds
+    for i, (_, x, y, z) in enumerate(steps):
+        # the rows of operands that die here go on top, the first one last
+        free += [row[s] for s in dict.fromkeys((y, x))
+                 if s in row and last[s] == i]
+        if not free:
+            free, top = [top], top + 1
+        row[z] = free.pop()
+    return row, top - base
+
+
 class Tape:
     """Immutable recorded program with parameter, input and output slots.
 
@@ -440,33 +464,23 @@ class Tape:
     def _compile_reverse(self, args, active, val, const, base):
         """The reverse schedule over the active nodes.
 
-        Adjoint rows are indexed from ``base`` (after the buffer rows) and
-        reused once their node is swept.  An adjoint's first write is an
-        assignment; the last contribution of a node transforms the node's
-        own, now dead, row in place and hands it on.  ``val`` and ``const``
-        give the row-list index of a node's value and of a constant.
+        Each step writes a new, write-once adjoint symbol (numbered from
+        ``base``, after the seeds): an operand's first contribution is its
+        adjoint, through ``np.negative`` when subtracted; a later one is
+        added or subtracted; an adjoint two operands start from is shared,
+        not copied.  One pass, :func:`_place`, gives the symbols rows from
+        ``base`` (after the buffer rows), in place where an operand dies.
+        ``val`` and ``const`` give the row-list index of a node's value
+        and of a constant.
         """
         prog = self._prog
-        free: list[int] = []
-        n_adj = 0
-
-        def alloc():
-            nonlocal n_adj
-            if free:
-                return free.pop()
-            n_adj += 1
-            return base + n_adj - 1
-
-        slot = {}
         seed_cols = [k for k, s in enumerate(self.output_slots) if active[s]]
-        for k in seed_cols:
-            slot[self.output_slots[k]] = alloc()
-        temps = {}
+        adj = {self.output_slots[k]: base + i for i, k in enumerate(seed_cols)}
+        rev, groups = [], []
 
-        def temp(name):
-            if name not in temps:
-                temps[name] = alloc()
-            return temps[name]
+        def step(f, x, y=None):
+            rev.append((f, x, y, base + len(seed_cols) + len(rev)))
+            return rev[-1][3]
 
         def scale_by(node):
             # g * 1.0 is g, bit for bit: skip the step
@@ -474,17 +488,14 @@ class Tape:
                 return []
             return [(np.multiply, val(node))]
 
-        rev, groups = [], []
-        for s in self.param_slots:
-            if not active[s]:  # a parameter no output depends on
-                slot[s] = temp("zero")
-        if "zero" in temps:
-            rev.append((np.positive, const(0.0), None, temps["zero"]))
+        idle = [s for s in self.param_slots if not active[s]]
+        if idle:  # parameters no output depends on share one zero
+            adj.update(dict.fromkeys(idle, step(np.positive, const(0.0))))
         for idx in range(len(prog) - 1, -1, -1):
             op, a1, a2, cv = prog[idx]
             if not (active[idx] and args[idx]):
                 continue
-            g = slot.pop(idx)
+            g = adj.pop(idx)
             pre = []
             if op == _ADD:
                 contribs = [(a1, [], 1), (a2, [], 1)]
@@ -505,45 +516,33 @@ class Tape:
                 pre = [(np.multiply, const(0.5))]
                 contribs = [(a1, [(np.divide, val(idx))], 1)]
             else:  # _POWC, _MAX0: g * factor(value of a1)
-                factor = temp("factor")
                 if op == _POWC:
-                    rev.append((_power, val(a1), const(cv - 1.0), factor))
+                    factor = step(_power, val(a1), const(cv - 1.0))
                     pre = [(np.multiply, const(cv))]
                 else:
-                    rev.append((np.greater, val(a1), const(0.0), factor))
+                    factor = step(np.greater, val(a1), const(0.0))
                 contribs = [(a1, [(np.multiply, factor)], 1)]
-            rev += [(f, g, v, g) for f, v in pre]
+            for f, v in pre:
+                g = step(f, g, v)
             contribs = [c for c in contribs if active[c[0]]]
-            moved = False
-            for p, (a, chain, sign) in enumerate(contribs):
-                last = p == len(contribs) - 1
-                first = a not in slot
-                if last or not chain:
-                    x = g
-                    if last:
-                        rev += [(f, g, v, g) for f, v in chain]
+            for a, chain, sign in contribs:
+                term = g
+                for f, v in chain:
+                    term = step(f, term, v)
+                if a in adj:
+                    adj[a] = step(np.add if sign > 0 else np.subtract,
+                                  adj[a], term)
                 else:
-                    x = alloc() if first else temp("term")
-                    rev += [(f, g if k == 0 else x, v, x)
-                            for k, (f, v) in enumerate(chain)]
-                if not first:
-                    rev.append((np.add if sign > 0 else np.subtract,
-                                slot[a], x, slot[a]))
-                elif x == g and not last:  # g is still needed: copy it
-                    slot[a] = alloc()
-                    rev.append((np.positive if sign > 0 else np.negative,
-                                g, None, slot[a]))
-                else:
-                    if sign < 0:
-                        rev.append((np.negative, x, None, x))
-                    slot[a] = x
-                    moved |= x == g
-            if not moved:
-                free.append(g)
-            groups.append((len(rev), idx, sorted({slot[c[0]] for c in contribs})))
+                    adj[a] = term if sign > 0 else step(np.negative, term)
+            groups.append((len(rev), idx, [adj[c[0]] for c in contribs]))
 
+        grads = [adj[s] for s in self.param_slots]
+        row, n_adj = _place(rev, len(seed_cols), grads, base)
+        rev = [(f, row.get(x, x), row.get(y, y), row[z]) for f, x, y, z in rev]
+        groups = [(end, idx, sorted({row[s] for s in syms}))
+                  for end, idx, syms in groups]
         return (tuple(rev), tuple(groups), n_adj, _index(seed_cols),
-                len(seed_cols), _index(slot[s] - base for s in self.param_slots))
+                len(seed_cols), _index(row[s] - base for s in grads))
 
     def _invariants(self, params):
         """``(key, scalars, values)`` of the live lane-invariant nodes.

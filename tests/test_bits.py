@@ -23,6 +23,9 @@ def test_working_tree_against_itself_is_same(capsys):
     kinds = {name.split()[0] for name in results}
     assert kinds == {"calibrate", "loss", "grad_est1", "grad_est2",
                      "grad_est3", "grad_est_batched", "cli"}
+    # the widest tape: the 96-quote surface runs one estimate end to end
+    assert {"grad_est3 surface n 2000",
+            "grad_est_batched alg 3 width 8 surface n 2000"} <= set(results)
     assert lines[-1] == f"0 of {len(results)} items differ"
 
 

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import rng_oracle as oracle
+from mcadjoint import estimators as est
+from mcadjoint import model as mdl
 from mcadjoint import rng_paths as rng
 
 C = rng.CHUNK_ROWS
@@ -38,9 +40,18 @@ class TestGenerate:
         assert batch.draws.shape == (2, 3)
         assert not (batch.draws[0] == batch.draws[1]).all()
 
-    def test_rejects_single_path(self):
-        with pytest.raises(ValueError, match="algorithm"):
-            rng.generate(1, 1, 1)
+    def test_single_path_is_the_first_row(self):
+        # one path is a draw like any other; the lagged estimators, which
+        # need two, reject it themselves
+        one = rng.generate(1, 1, 3)
+        assert same_bytes(one.draws, rng.generate_rows(1, "philox", 0, 1, 3))
+        with pytest.raises(ValueError, match="n_paths must be an integer >= 1"):
+            rng.generate(1, 0, 3)
+        spec, curve = mdl.default_fixture()
+        tape = mdl.build_model_tape(spec, curve)
+        with pytest.raises(ValueError, match="needs at least 2 paths"):
+            est.grad_est2(tape, curve.knot_vols, rng.generate(1, 1, 5),
+                          spec.prices)
 
     def test_rejects_zero_inputs(self):
         with pytest.raises(ValueError):

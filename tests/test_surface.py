@@ -62,6 +62,20 @@ def test_exact_cost_counts(surface, algorithm, width):
     assert e.grad.shape == (8,) and np.isfinite(e.grad).all()
 
 
+def test_lagged_estimators_agree_with_two_pass(surface):
+    # criterion 6 on the surface: on one path set, algorithms 2 and 3 are
+    # within 4 combined standard errors of algorithm 1, coordinate by
+    # coordinate
+    spec, curve, tape = surface
+    paths = generate(21, 10**5, tape.n_inputs)
+    e1, e2, e3 = (fn(tape, curve.knot_vols, paths, spec.prices,
+                     batch_count=128)
+                  for fn in (est.grad_est1, est.grad_est2, est.grad_est3))
+    for e in (e2, e3):
+        assert (np.abs(e.grad - e1.grad)
+                < 4 * np.sqrt(e1.variance + e.variance)).all()
+
+
 def test_adjoints_match_central_differences(surface):
     # criterion 7 on the surface: per-path adjoints against central
     # differences at rel 1e-5, clear of the payoff kinks

@@ -10,6 +10,7 @@ is also checked byte for byte against the node-by-node reference sweeps in
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -528,6 +529,19 @@ class TestCompiledReplay:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert matches == [200] * len(vectors)
+
+    @pytest.mark.parametrize("market, max_steps, max_rows", [
+        (None, 54, 7), ("surface96.cfg", 351, 97)])
+    def test_reverse_schedule_copies_no_adjoint(self, market, max_steps,
+                                                max_rows):
+        # write-once adjoints placed in rows by one pass: an adjoint that
+        # starts two operands' adjoints is shared, never copied
+        spec, curve = (mdl.default_fixture() if market is None else
+                       mdl.load_market_file(Path(__file__).with_name(market)))
+        tape = mdl.build_model_tape(spec, curve)
+        assert not any(f is np.positive for f, *_ in tape._rev)
+        assert len(tape._rev) <= max_steps
+        assert tape._n_adj <= max_rows
 
     @settings(max_examples=300, deadline=None)
     @given(program=random_programs(), lanes=st.sampled_from([1, 7, 2048]),

@@ -15,6 +15,8 @@ computed, item by item:
   its first two options;
 - grad, variance and F/R of ``grad_est1/2/3`` and of width-8
   ``grad_est_batched``, at 10^5 and 10^6 paths;
+- on the 96-quote surface ``tests/surface96.cfg``, ``loss`` expectations
+  at n = 8193 and 2*10^4, and the estimates above at 2*10^4 paths;
 - every CSV the four CLI subcommands write at seed 3 and 2*10^4 paths
   (``calibrate`` at 40 iterations), without the timing columns, compared
   as the text of their cells.
@@ -44,24 +46,46 @@ from pathlib import Path
 TIMING = {"time_us", "millis", "k_f", "k_r", "t_scalar_f_us", "t_scalar_r_us",
           "t_batched_f_us", "t_batched_r_us", "k_f_spread", "k_r_spread"}
 
+SURFACE = Path(__file__).parents[1] / "tests" / "surface96.cfg"
+
+# "surface" is (loss n, estimate n, algorithms) on SURFACE
 FULL = {"calibrate": ((1, 2), (10_007, 100_000), 25),
         "loss_n": (1, 2, 8191, 8192, 8193, 3 * 8192 + 17, 100_000),
         "estimate_n": (100_000, 1_000_000),
+        "surface": ((8193, 20_000), (20_000,), (1, 2, 3)),
         "cli": ("20000", "40")}
 SMALL = {"calibrate": ((1,), (2000,), 2),
          "loss_n": (1, 2, 8193),
          "estimate_n": (10_000,),
+         "surface": ((), (2000,), (3,)),
          "cli": ("2000", "2")}
+
+
+def estimates(items: dict, label: str, spec, curve, n: int, algs) -> None:
+    """Grad, variance and F/R of ``grad_est<alg>`` and of width-8
+    ``grad_est_batched`` on ``n`` paths, as items ending ``label n <n>``."""
+    import mcadjoint.estimators as est
+    import mcadjoint.model as mdl
+    from mcadjoint.rng_paths import generate
+
+    tape = mdl.build_model_tape(spec, curve)
+    scalar = {1: est.grad_est1, 2: est.grad_est2, 3: est.grad_est3}
+    args = (tape, curve.knot_vols, generate(1, n, tape.n_inputs), spec.prices)
+    for alg in algs:
+        for name, e in ((f"grad_est{alg}", scalar[alg](*args)),
+                        (f"grad_est_batched alg {alg} width 8",
+                         est.grad_est_batched(alg, *args, 8))):
+            items[f"{name}{label} n {n}"] = [*e.grad, *e.variance, e.f_evals,
+                                             e.r_evals]
 
 
 def collect(sizes: dict) -> dict:
     """Item name -> flat list of the numbers, or for a CSV the cells' text,
     that the importable ``mcadjoint`` computes."""
     import mcadjoint.cli as cli
-    import mcadjoint.estimators as est
     import mcadjoint.model as mdl
     from mcadjoint.optimizer import LbfgsConfig, calibrate
-    from mcadjoint.rng_paths import PathBatch, generate, generate_rows
+    from mcadjoint.rng_paths import generate
 
     items = {}
     spec, curve = mdl.default_fixture()
@@ -77,28 +101,25 @@ def collect(sizes: dict) -> dict:
                       for v in (r.iteration, r.loss, r.grad_norm, *r.params,
                                 r.f_evals, r.r_evals)]]
 
-    markets = {"fixture": spec,
-               "one-option": mdl.MarketSpec(spec.spot, spec.options[:1]),
-               "two-option": mdl.MarketSpec(spec.spot, spec.options[:2])}
-    for name, market in markets.items():
-        for n in sizes["loss_n"]:
-            # generate takes n >= 2; its rows are generate_rows's
-            paths = PathBatch(generate_rows(1, "philox", 0, n,
-                                            market.n_drivers), 1, "philox")
+    surface, surface_curve = mdl.load_market_file(SURFACE)
+    surface_loss_n, surface_estimate_n, surface_algs = sizes["surface"]
+    markets = {
+        "fixture": (spec, curve, sizes["loss_n"]),
+        "one-option": (mdl.MarketSpec(spec.spot, spec.options[:1]), curve,
+                       sizes["loss_n"]),
+        "two-option": (mdl.MarketSpec(spec.spot, spec.options[:2]), curve,
+                       sizes["loss_n"]),
+        "surface": (surface, surface_curve, surface_loss_n)}
+    for name, (market, market_curve, loss_n) in markets.items():
+        for n in loss_n:
+            paths = generate(1, n, market.n_drivers)
             items[f"loss {name} n {n}"] = list(
-                mdl.loss(market, curve, paths).expectations)
+                mdl.loss(market, market_curve, paths).expectations)
 
-    tape = mdl.build_model_tape(spec, curve)
-    scalar = {1: est.grad_est1, 2: est.grad_est2, 3: est.grad_est3}
     for n in sizes["estimate_n"]:
-        args = (tape, curve.knot_vols, generate(1, n, tape.n_inputs),
-                spec.prices)
-        for alg in (1, 2, 3):
-            for name, e in ((f"grad_est{alg}", scalar[alg](*args)),
-                            (f"grad_est_batched alg {alg} width 8",
-                             est.grad_est_batched(alg, *args, 8))):
-                items[f"{name} n {n}"] = [*e.grad, *e.variance, e.f_evals,
-                                          e.r_evals]
+        estimates(items, "", spec, curve, n, (1, 2, 3))
+    for n in surface_estimate_n:
+        estimates(items, " surface", surface, surface_curve, n, surface_algs)
 
     n_mc, max_iter = sizes["cli"]
     with tempfile.TemporaryDirectory() as out:
@@ -190,7 +211,7 @@ def main(argv=None) -> int:
         else:
             same, worst = compare(sides[0][name], sides[1][name])
         differs += not same
-        print(f"{name:<44} " + ("same" if same else
+        print(f"{name:<46} " + ("same" if same else
                                 f"differs  max rel diff {worst:.3g}"))
     print(f"{differs} of {len(set(sides[0]) | set(sides[1]))} items differ")
     return 1 if differs else 0
