@@ -29,7 +29,8 @@ runs pay the per-step dispatch of fewer, wider blocks.  Every pass of an
 estimate replays into one block buffer, bound to the tape (``Tape.bound``)
 so that its row views are built once.  The seeding steps work lane-major,
 as the buffer holds the values: they read a block's outputs as one row per
-output and write the seeds the same way.  The reverse sweep writes each
+output and write the seeds straight into the buffer's seed rows, where the
+reverse sweep reads them.  The reverse sweep writes each
 path's parameter adjoints straight into one block-sized stack (``_Sums``),
 which reduces them as soon as they land into the gradient's running sum
 and the accumulators of its per-coordinate variance.  Every sum is taken
@@ -63,9 +64,9 @@ __all__ = [
 ]
 
 # widest replay block (paths; see _block_ranges): wide enough to amortize
-# per-step dispatch, narrow enough to keep a block's buffers (one double per
-# path per buffer row, a parameter or lane-dependent node: 40 of the default
-# fixture's 75 nodes, 2.6 MB at 8192 lanes, 0.66 MB at 2048) small
+# per-step dispatch, narrow enough to keep the block buffer (one double per
+# path per row, forward values and adjoints alike: 27 rows on the default
+# fixture's 75 nodes, 1.8 MB at 8192 lanes, 0.44 MB at 2048) small
 BLOCK_PATHS = 8192
 # paths replayed one lane at a time for the scalar baseline of K_F/K_R
 _SCALAR_PATHS = 256
@@ -266,14 +267,17 @@ def _sweep(tape: Tape, params, paths: PathBatch, ranges, buffer,
     """Replay the blocks of ``ranges`` in path order, counting into ``counters``.
 
     Each block is forwarded into the leading lanes of ``buffer``.
-    ``seed(lo, hi, y)`` gets the block's outputs lane-major, shape
-    (n_outputs, hi - lo), and returns lane-major seed rows for the block's
-    last paths (it alone decides how many), or None for a forward-only
-    block.  The seeded lanes are reversed straight into the rows of
-    ``sums``, which then reduces them.  The seconds spent in each phase are
-    added to ``phases``.
+    ``seed(lo, hi, y, s)`` gets the block's outputs and its seed rows
+    (``tape.seed_rows``), both lane-major of shape (n_outputs, hi - lo); it
+    writes the seeds of the block's last k paths into the last k lanes of
+    ``s`` and returns k (it alone decides how many), 0 for a forward-only
+    block.  The reverse sweep reads the seeds where they were written and
+    reverses the seeded lanes straight into the rows of ``sums``, which
+    then reduces them.  The seconds spent in each phase are added to
+    ``phases``.
     """
     clock = time.perf_counter
+    seed_rows = buffer[tape.seed_rows]
     for lo, hi in ranges:
         n = hi - lo
         # a full block replays into the bound buffer object itself, so that
@@ -283,14 +287,14 @@ def _sweep(tape: Tape, params, paths: PathBatch, ranges, buffer,
         y, _ = tape.replay_forward(params, paths.draws[lo:hi], buffer=block,
                                    counters=counters)
         t1 = clock()
-        seeds = seed(lo, hi, y.T)
+        k = seed(lo, hi, y.T, seed_rows[:, :n])
         t2 = clock()
         phases["forward"] += t1 - t0
         phases["seed"] += t2 - t1
-        if seeds is not None:
-            k = seeds.shape[1]
+        if k:
             tape.replay_reverse(block if k == n else block[:, n - k:],
-                                seeds.T, out=sums.rows(k), counters=counters)
+                                seed_rows[:, n - k: n].T, params=params,
+                                out=sums.rows(k), counters=counters)
             t3 = clock()
             sums.commit(k)
             phases["reverse"] += t3 - t2
@@ -302,53 +306,54 @@ def _lagged_seeds(algorithm: int, lag: int, targets, size: int):
 
     Path j >= lag is seeded from y_{j-lag} (algorithm 2) or from the mean over
     paths [0, floor(j/lag) lag) (algorithm 3); calls must come in path order.
-    Seeds are written lane-major, one row per output; paths 0..lag-1 seed
-    nothing.
+    Seeds are written lane-major into the block's seed rows, one row per
+    output; paths 0..lag-1 seed nothing.
     """
     m = len(targets)
     t_col = targets[:, None]
-    prev = 0  # paths in the previous block
 
     if algorithm == 2:
-        # the residuals y - C of the last lag paths before the block, then
-        # of the block's paths
-        resid = np.empty((m, lag + size))
+        carry = np.empty((m, lag))  # y - C of the lag paths before the block
 
-        def seed(lo, hi, y):
-            nonlocal prev
+        def seed(lo, hi, y, s):
             n = hi - lo
-            resid[:, :lag] = resid[:, prev: prev + lag]
-            prev = n
-            np.subtract(y, t_col, out=resid[:, lag: lag + n])
-            return resid[:, lag if lo == 0 else 0: n]
+            if lo:
+                s[:, :min(lag, n)] = carry[:, :n]
+            if n > lag:
+                np.subtract(y[:, :n - lag], t_col, out=s[:, lag:])
+            if n >= lag:
+                np.subtract(y[:, n - lag:], t_col, out=carry)
+            return n if lo else n - lag
 
         return seed
 
-    # pre[:, k]: the sum of y over paths [0, lo + k), summed in path order;
-    # chunk starts 0, lag, 2 lag, ... are offset per block into the path
-    # counts before each chunk
-    pre = np.empty((m, size + 1))
-    pre[:, 0] = 0.0
+    carry = np.zeros(m)  # the sum of y over the paths before the block
     starts = np.arange(0, size, lag, dtype=np.float64)
     divisor = np.empty_like(starts)
-    means = np.empty((m, len(starts)))
 
-    def seed(lo, hi, y):
-        nonlocal prev
+    def seed(lo, hi, y, s):
         n = hi - lo
-        pre[:, 0] = pre[:, prev]
-        prev = n
-        pre[:, 1: n + 1] = y
-        np.cumsum(pre[:, : n + 1], axis=1, out=pre[:, : n + 1])
-        # each chunk of lag paths is seeded from the mean before it
+        # s[:, k]: the sum of y over paths [0, lo + k), summed in path order
+        s[:, 0] = carry
+        s[:, 1:] = y[:, :n - 1]
+        np.cumsum(s, axis=1, out=s)
+        np.add(s[:, n - 1], y[:, n - 1], out=carry)
+        # each chunk of lag paths is seeded from the mean before it; chunk
+        # starts 0, lag, 2 lag, ... are offset into the path counts before
+        # each chunk
         skip = lag if lo == 0 else 0
-        sums = pre[:, skip: n: lag]
-        k = sums.shape[1]
+        heads = s[:, skip: n: lag]
+        k = heads.shape[1]
         np.add(starts[:k], lo + skip, out=divisor[:k])
-        seeds = np.divide(sums, divisor[:k], out=means[:, :k])
-        if lag > 1:
-            seeds = np.repeat(seeds, lag, axis=1)[:, : n - skip]
-        return np.subtract(seeds, t_col, out=seeds)
+        np.divide(heads, divisor[:k], out=heads)
+        np.subtract(heads, t_col, out=heads)
+        if lag > 1:  # the rest of each chunk copies its first lane
+            whole = skip + (n - skip) // lag * lag
+            # a view: the lanes of each row are contiguous
+            chunks = s[:, skip: whole].reshape(m, -1, lag)
+            chunks[:, :, 1:] = chunks[:, :, :1]
+            s[:, whole + 1: n] = s[:, whole: whole + 1]
+        return n - skip
 
     return seed
 
@@ -397,16 +402,18 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
             m = tape.n_outputs
             stack = np.zeros((size + 1, max(2, m)))
 
-            def add_outputs(lo, hi, y):
+            def add_outputs(lo, hi, y, s):
                 stack[1: hi - lo + 1, :m] = y.T
                 stack[0] = stack[: hi - lo + 1].sum(axis=0)
+                return 0
 
             _sweep(tape, params, paths, ranges, buffer, counters, add_outputs,
                    phases)
-            lam = stack[0, :m] / n - targets
+            lam = stack[0, :m, None] / n - targets[:, None]
 
-            def seed(lo, hi, y):
-                return np.broadcast_to(lam[:, None], y.shape)
+            def seed(lo, hi, y, s):
+                s[...] = lam
+                return hi - lo
         else:
             seed = _lagged_seeds(algorithm, lag, targets, size)
         _sweep(tape, params, paths, ranges, buffer, counters, seed, phases,
@@ -516,12 +523,16 @@ def _replay_cost(tape: Tape, params, paths: PathBatch, n_rows: int,
     """
     n = min(n_rows, paths.n_paths) // width * width
     ranges = [(lo, lo + width) for lo in range(0, n, width)]
-    ones = np.ones((tape.n_outputs, width))
     phases = dict.fromkeys(("forward", "seed", "reverse", "reduce"), 0.0)
     buffer = tape.alloc_buffer(width)
+
+    def unit(lo, hi, y, s):
+        s[...] = 1.0
+        return width
+
     with tape.bound(buffer):
-        _sweep(tape, params, paths, ranges, buffer, ReplayCounters(),
-               lambda lo, hi, y: ones, phases, _Sums(tape.n_params, width))
+        _sweep(tape, params, paths, ranges, buffer, ReplayCounters(), unit,
+               phases, _Sums(tape.n_params, width))
     return phases["forward"] / n, phases["reverse"] / n
 
 

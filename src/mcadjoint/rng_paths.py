@@ -9,10 +9,12 @@ the inverse normal CDF applied to fixed-point uniforms in (0, 1).
 The draw matrix is filled in place in chunks of ``CHUNK_ROWS`` rows, each
 drawn from its own offset of the stream.  The caller's thread fills chunks
 and, on a request of more than one chunk, helper threads started for that
-call help, up to one thread per usable CPU (numpy's raw-word draw, casts and
-``ndtri`` release the GIL); they are joined before the call returns.  Every
-element goes through the same operations whichever thread fills its chunk,
-so the bytes do not depend on the thread count.
+call help, up to one thread per usable CPU (numpy's uniform draw and
+``ndtri`` release the GIL); they are joined before the call returns.  Each
+chunk is drawn, shifted and transformed where it lies, so a fill needs no
+memory beyond the draws.  Every element goes through the same operations
+whichever thread fills its chunk, so the bytes do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import PCG64, Philox
+from numpy.random import PCG64, Generator, Philox
 from scipy.special import ndtri
 
 __all__ = ["PathBatch", "generate", "GENERATOR_IDS"]
@@ -35,10 +37,10 @@ _GENERATORS = {
 
 GENERATOR_IDS = tuple(sorted(_GENERATORS))
 
-# rows per task; the transient per filling thread is one chunk of raw words
+# rows per task: a thread fills one chunk of the draws in place
 CHUNK_ROWS = 16384
 
-_INV_2_53 = 2.0 ** -53
+_HALF_STEP = 2.0 ** -54
 
 
 @dataclass(frozen=True)
@@ -65,26 +67,27 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _raw_words(seed: int, generator_id: str, start: int, count: int) -> np.ndarray:
-    """Raw 64-bit words [start, start+count) of the keyed counter stream."""
+def _stream(seed: int, generator_id: str, start: int):
+    """The keyed counter stream's bit generator, positioned at raw 64-bit
+    word ``start``."""
     cls, words_per_step = _GENERATORS[generator_id]
     bg = cls(seed)
     bg.advance(start // words_per_step)
-    skip = start % words_per_step
-    return bg.random_raw(count + skip)[skip:]
+    bg.random_raw(start % words_per_step)
+    return bg
 
 
 def _fill_rows(out: np.ndarray, seed: int, generator_id: str,
                start: int) -> None:
     """Write rows [start, start + len(out)) of the draw matrix into ``out``."""
-    words = _raw_words(seed, generator_id, start * out.shape[1], out.size)
-    # 53-bit fixed point mapped to the open interval (0, 1): ndtri stays
-    # finite.  The cast to float is the write into ``out``; the rest is in
-    # place there, so the only transient is this chunk's words.
-    words >>= np.uint64(11)
-    out[...] = words.reshape(out.shape)
-    out += 0.5
-    out *= _INV_2_53
+    bits = _stream(seed, generator_id, start * out.shape[1])
+    # 53-bit fixed point mapped to the open interval (0, 1), so ndtri stays
+    # finite: ((w >> 11) + 0.5) * 2^-53.  random() writes (w >> 11) * 2^-53
+    # into ``out``, one word per element in order, and scaling by a power
+    # of two commutes with rounding, so adding 2^-54 gives those bits; the
+    # fill makes no temporary.
+    Generator(bits).random(out=out)
+    out += _HALF_STEP
     ndtri(out, out=out)
 
 

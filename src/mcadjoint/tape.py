@@ -18,8 +18,12 @@ Each tape is compiled once, when it is built, into static schedules
 * the reverse schedule forms adjoints only for active nodes (those that
   depend on a parameter and reach an output) as write-once symbols: a
   first contribution is the adjoint itself, never a sum onto zeros or a
-  copy.  One placement pass gives the symbols rows, reusing a row once no
-  later step reads it and writing in place where an operand dies.
+  copy;
+* one placement pass over the forward and the reverse gives every value
+  and adjoint a row of one buffer: the values the reverse reads, the
+  parameter adjoints, the seeds and the outputs keep theirs, and any other
+  row is reused once no later step reads it, in place where an operand
+  dies.  A replay holds no state beyond that buffer.
 
 The replay engine operates on numpy arrays of shape ``(n_lanes,)`` per tape
 node, so a scalar replay (``Tape.forward``/``Tape.reverse``) is a one-lane
@@ -269,39 +273,47 @@ def _index(seq):
     return np.asarray(seq, dtype=np.intp)
 
 
-def _place(steps, n_seeds, keep, base):
+def _place(steps, first, keep, last):
     """``(row, n_rows)``: ``row`` maps each symbol of a write-once schedule
-    to a row from ``base`` on, placed in one linear scan.
+    to a row, placed in one linear scan.
 
-    Symbols ``base .. base + n_seeds - 1`` are the seeds and take the first
-    rows; step ``i`` writes symbol ``base + n_seeds + i``.  A row is free
-    once no later step reads its symbol, unless the symbol is in ``keep``.
-    A step whose operand dies there takes that operand's row: in place.
+    Step ``(f, x, y, z)`` reads symbols ``x`` and ``y`` and writes ``z``;
+    negative operands (scalars) and None are not placed.  The symbols
+    ``first`` hold values before step 0 and take rows 0, 1, ...; the
+    symbols ``last`` take the final rows, in order, and keep them.  Any
+    other row is free once no later step reads its symbol, unless the
+    symbol is in ``keep``.  A step whose operand dies there takes that
+    operand's row: in place.
     """
-    last = {s: i for i, (_, x, y, _) in enumerate(steps) for s in (x, y)}
-    last.update(dict.fromkeys(keep, len(steps)))
-    row = {base + k: base + k for k in range(n_seeds)}
-    free, top = [], base + n_seeds
+    end = {s: i for i, (_, x, y, _) in enumerate(steps) for s in (x, y)}
+    end.update(dict.fromkeys(keep, len(steps)))
+    row = {s: r for r, s in enumerate(first)}
+    fixed = set(last)
+    free, top = [], len(first)
     for i, (_, x, y, z) in enumerate(steps):
         # the rows of operands that die here go on top, the first one last
         free += [row[s] for s in dict.fromkeys((y, x))
-                 if s in row and last[s] == i]
+                 if s in row and end[s] == i]
+        if z in fixed:
+            continue
         if not free:
             free, top = [top], top + 1
         row[z] = free.pop()
-    return row, top - base
+    row.update((s, top + k) for k, s in enumerate(last))
+    return row, top + len(last)
 
 
 class Tape:
     """Immutable recorded program with parameter, input and output slots.
 
     Construction compiles the program (see the module docstring).  Replays
-    write into a caller-owned (or freshly allocated) value buffer with one
-    row per parameter and one per lane-dependent node that reaches an
-    output (:meth:`alloc_buffer`), lanes on axis 1.  The only state a
-    replay touches is a one-entry cache of the lane-invariant values, keyed
-    by the parameter bytes and checked on every use, so concurrent replays
-    of one tape are safe with the same or with different parameters.
+    write into a caller-owned (or freshly allocated) buffer that holds the
+    forward values and the adjoints (:meth:`alloc_buffer`), lanes on axis
+    1.  The only state a replay touches is a one-entry cache of the
+    lane-invariant values, keyed by the parameter bytes and checked on
+    every use, so concurrent replays of one tape are safe with the same or
+    with different parameters, as long as each reverse sweep is passed the
+    parameters of its forward replay.
     """
 
     def __init__(self, ops, param_slots, input_slots, output_slots):
@@ -402,7 +414,7 @@ class Tape:
             return const_at[np.float64(v).tobytes()] - len(consts)
 
         def val(node):
-            return row[node] if lane[node] else inv_at[node] - n_scalars
+            return node if lane[node] else inv_at[node] - n_scalars
 
         def forward_step(idx, ref, out):
             op, a1, a2, cv = prog[idx]
@@ -427,59 +439,80 @@ class Tape:
             else:
                 inv_steps.append(forward_step(node, inv_at.__getitem__, i))
 
-        # buffer rows: the parameters (they key the invariant cache in
-        # replay_reverse), the other live lane-dependent nodes, then the
-        # outputs in order, so that they read out as one block
-        outputs = set(self.output_slots.tolist())
-        row_node = [*self.param_slots.tolist(),
-                    *(i for i in range(n)
-                      if live[i] and lane[i] and i not in outputs),
-                    *self.output_slots.tolist()]
-        row = {node: r for r, node in enumerate(row_node)}
-        fwd, in_rows, in_cols = [], [], []
-        for idx in range(n):
-            if live[idx] and lane[idx] and prog[idx][0] == _INPUT:
-                in_rows.append(row[idx])
-                in_cols.append(prog[idx][1])
-            elif live[idx] and lane[idx]:
-                fwd.append(forward_step(idx, val, row[idx]))
-        fwd += [(np.positive, val(s), None, row[s])
-                for s in self.output_slots if not lane[s]]
+        # the forward on node symbols: the live lane-dependent nodes, then
+        # the invariant outputs broadcast into their rows
+        outputs = self.output_slots.tolist()
+        inputs = [i for i in range(n)
+                  if live[i] and lane[i] and prog[i][0] == _INPUT]
+        fwd = [forward_step(i, val, i) for i in range(n)
+               if live[i] and lane[i] and prog[i][0] != _INPUT]
+        fwd += [(np.positive, val(s), None, s) for s in outputs if not lane[s]]
+        rev, groups, grads = self._compile_reverse(args, active, val, const, n)
 
-        self._n_rows = len(row_node)
-        self._row_node = np.asarray(row_node, dtype=np.intp)
-        self._out_rows = slice(len(row_node) - self.n_outputs, len(row_node))
-        self._in_dst, self._in_src = _index(in_rows), _index(in_cols)
-        self._fwd = tuple(fwd)
+        # one placement over the forward and the reverse.  The inputs take
+        # the first rows, the seeds (symbols n, n + 1, ...) and then the
+        # outputs the last ones; the forward values the reverse reads keep
+        # theirs, so a reverse can be rerun, and so do the parameter
+        # adjoints.  Every other row is shared.
+        seeds = range(n, n + self.n_outputs)
+        keep = {v for _, x, y, _ in rev for v in (x, y)
+                if v is not None and 0 <= v < n}
+        row, n_rows = _place(fwd + rev, inputs, [*keep, *grads],
+                             [*seeds, *outputs])
+        # renumber the shared rows so that the parameter adjoints end them
+        # as one run, in parameter order: the fold reads a slice
+        pool = n_rows - 2 * self.n_outputs
+        tail = list(dict.fromkeys(row[s] for s in grads if row[s] < pool))
+        order = [r for r in range(pool) if r not in tail] + tail
+        moved = {old: new for new, old in enumerate(order)}
+        row = {s: moved.get(r, r) for s, r in row.items()}
+
+        def placed(steps):
+            return tuple((f, row.get(x, x), row.get(y, y), row[z])
+                         for f, x, y, z in steps)
+
+        self._n_rows = n_rows
+        self.seed_rows = slice(n_rows - 2 * self.n_outputs,
+                               n_rows - self.n_outputs)
+        self._out_rows = slice(n_rows - self.n_outputs, n_rows)
+        self._in_dst = _index(row[i] for i in inputs)
+        self._in_src = _index(prog[i][1] for i in inputs)
+        self._in_nodes = np.asarray(inputs, dtype=np.intp)
+        self._fwd = placed(fwd)
         self._consts = tuple(consts)
         self._inv_nodes = np.asarray(inv_nodes, dtype=np.intp)
         self._inv_init = inv_init
         self._inv_param_rows = _index(i for i, _ in inv_params)
         self._inv_param_idx = _index(k for _, k in inv_params)
         self._inv_steps = tuple(inv_steps)
-        (self._rev, self._rev_groups, self._n_adj, self._seed_cols,
-         self._n_seed, self._grad_rows) = self._compile_reverse(
-            args, active, val, const, len(row_node))
+        self._rev = placed(rev)
+        self._rev_groups = tuple((end, idx, sorted({row[s] for s in syms}))
+                                 for end, idx, syms in groups)
+        self._fwd_groups = tuple((i + 1, z, [row[z]])
+                                 for i, (*_, z) in enumerate(fwd))
+        self._seed_cols = _index(k for k, s in enumerate(outputs) if active[s])
+        self._grad_rows = _index(row[s] for s in grads)
 
-    def _compile_reverse(self, args, active, val, const, base):
-        """The reverse schedule over the active nodes.
+    def _compile_reverse(self, args, active, val, const, n):
+        """``(steps, groups, grads)``: the reverse schedule over the active
+        nodes, on write-once adjoint symbols.
 
-        Each step writes a new, write-once adjoint symbol (numbered from
-        ``base``, after the seeds): an operand's first contribution is its
+        Output ``k``'s seed is symbol ``n + k``, and each step writes a new
+        symbol after the seeds: an operand's first contribution is its
         adjoint, through ``np.negative`` when subtracted; a later one is
         added or subtracted; an adjoint two operands start from is shared,
-        not copied.  One pass, :func:`_place`, gives the symbols rows from
-        ``base`` (after the buffer rows), in place where an operand dies.
-        ``val`` and ``const`` give the row-list index of a node's value
-        and of a constant.
+        not copied.  ``groups`` holds, per node swept, the step count after
+        its steps, the node and the adjoint symbols they wrote; ``grads``
+        the parameters' adjoint symbols.  ``val`` and ``const`` give the
+        symbol of a node's value and of a constant.
         """
         prog = self._prog
-        seed_cols = [k for k, s in enumerate(self.output_slots) if active[s]]
-        adj = {self.output_slots[k]: base + i for i, k in enumerate(seed_cols)}
+        adj = {s: n + k for k, s in enumerate(self.output_slots)
+               if active[s]}
         rev, groups = [], []
 
         def step(f, x, y=None):
-            rev.append((f, x, y, base + len(seed_cols) + len(rev)))
+            rev.append((f, x, y, n + self.n_outputs + len(rev)))
             return rev[-1][3]
 
         def scale_by(node):
@@ -519,8 +552,9 @@ class Tape:
                 if op == _POWC:
                     factor = step(_power, val(a1), const(cv - 1.0))
                     pre = [(np.multiply, const(cv))]
-                else:
-                    factor = step(np.greater, val(a1), const(0.0))
+                else:  # max(x, 0) > 0 exactly when x > 0: read the
+                    # value, which is an output row on a payoff tape
+                    factor = step(np.greater, val(idx), const(0.0))
                 contribs = [(a1, [(np.multiply, factor)], 1)]
             for f, v in pre:
                 g = step(f, g, v)
@@ -535,14 +569,7 @@ class Tape:
                 else:
                     adj[a] = term if sign > 0 else step(np.negative, term)
             groups.append((len(rev), idx, [adj[c[0]] for c in contribs]))
-
-        grads = [adj[s] for s in self.param_slots]
-        row, n_adj = _place(rev, len(seed_cols), grads, base)
-        rev = [(f, row.get(x, x), row.get(y, y), row[z]) for f, x, y, z in rev]
-        groups = [(end, idx, sorted({row[s] for s in syms}))
-                  for end, idx, syms in groups]
-        return (tuple(rev), tuple(groups), n_adj, _index(seed_cols),
-                len(seed_cols), _index(row[s] - base for s in grads))
+        return rev, groups, [adj[s] for s in self.param_slots]
 
     def _invariants(self, params):
         """``(key, scalars, values)`` of the live lane-invariant nodes.
@@ -569,25 +596,29 @@ class Tape:
     def alloc_buffer(self, n_lanes: int) -> np.ndarray:
         """Allocate a value buffer of shape ``(n_rows, n_lanes)``.
 
-        Rows are the parameters and the lane-dependent nodes that reach an
-        output (40 of the default fixture's 75 nodes), plus one per output
-        that does not depend on the inputs; not every node.  The last
-        ``n_outputs`` rows are the outputs in order, filled also when the
-        replay raises :class:`NonFiniteError`.
+        One buffer holds a replay's forward values and its adjoints.  Rows
+        go only to the lane-dependent values the reverse sweep reads, the
+        parameter adjoints, the seeds and the outputs; every other value
+        shares rows that one placement pass reuses (27 rows per lane on the
+        default fixture's 75 nodes, 1.8 MB at 8192 lanes).  The last ``n_outputs``
+        rows are the outputs in order, filled also when the replay raises
+        :class:`NonFiniteError`; the ``n_outputs`` rows before them,
+        :attr:`seed_rows`, are where :meth:`replay_reverse` reads its
+        seeds.  Parameters and lane-invariant values take no rows.
         """
         return np.empty((self._n_rows, n_lanes), dtype=np.float64)
 
     @contextmanager
     def bound(self, buffer):
-        """Let replays into ``buffer`` share one set of row views.
+        """Let replays into ``buffer`` share one list of row views.
 
-        A replay addresses its buffer, the adjoint rows and the invariant
-        scalars through a list of row views.  Inside the ``with`` block,
-        replays into this very array object build that list, and the
-        adjoint rows, once per parameter vector instead of on every call.
-        Leaving the block drops them, so no buffer stays pinned by the
-        tape.  One buffer is bound at a time; a replay into any other array
-        builds its own rows, so results never depend on the binding.
+        A replay addresses its buffer's rows and the invariant scalars
+        through a list of row views.  Inside the ``with`` block, replays
+        into this very array object build that list once per parameter
+        vector instead of on every call.  Leaving the block drops it, so no
+        buffer stays pinned by the tape.  One buffer is bound at a time; a
+        replay into any other array builds its own list, so results never
+        depend on the binding.
         """
         self._bound = (buffer, None, None)
         try:
@@ -596,16 +627,13 @@ class Tape:
             self._bound = (None, None, None)
 
     def _rows(self, buffer, entry):
-        """``(forward rows, reverse rows, adjoint rows)`` of a replay into
-        ``buffer`` with the invariants ``entry``.  The row lists hold the
-        buffer's rows, for the reverse then the adjoint rows, then the
-        scalars; built once while ``buffer`` is bound, else per call."""
+        """The row list of a replay into ``buffer`` with the invariants
+        ``entry``: the buffer's rows, then the scalars; built once while
+        ``buffer`` is bound, else per call."""
         bound = self._bound
         if bound[0] is buffer and bound[1] is entry:
             return bound[2]
-        adj = np.empty((self._n_adj, buffer.shape[1]), dtype=np.float64)
-        own = [*buffer]
-        rows = ([*own, *entry[1]], [*own, *adj, *entry[1]], adj)
+        rows = [*buffer, *entry[1]]
         if bound[0] is buffer:
             self._bound = (buffer, entry, rows)
         return rows
@@ -625,12 +653,12 @@ class Tape:
         ``inputs`` has shape (n_lanes, n_inputs).  Returns ``(outputs,
         buffer)``.  ``outputs`` has shape (n_lanes, n_outputs) and is a view
         of the buffer's last ``n_outputs`` rows, transposed, not a copy: the
-        next replay into the same buffer overwrites it, and ``outputs.T`` is
-        the lane-major (n_outputs, n_lanes) block of those rows.  The filled
-        buffer can be fed to :meth:`replay_reverse` to avoid recomputing
-        the forward pass.  A non-finite output raises
-        :class:`NonFiniteError` naming the first node, in tape order, with a
-        non-finite value.
+        next forward replay into the same buffer overwrites it, and
+        ``outputs.T`` is the lane-major (n_outputs, n_lanes) block of those
+        rows; the reverse sweep may read them.  The filled buffer can be
+        fed to :meth:`replay_reverse` to avoid recomputing the forward
+        pass.  A non-finite output raises :class:`NonFiniteError` naming
+        the first node, in tape order, with a non-finite value.
         """
         params = self._check_params(params)
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -646,39 +674,47 @@ class Tape:
             raise ValueError("buffer shape does not match tape/lanes")
 
         entry = self._invariants(params)
-        buffer[: self.n_params] = params[:, None]
+        rows = self._rows(buffer, entry)
         buffer[self._in_dst] = inputs.T[self._in_src]
         # non-finite values are detected explicitly below; keep IEEE quiet
         with np.errstate(all="ignore"):
-            _run(self._fwd, self._rows(buffer, entry)[0])
+            _run(self._fwd, rows)
         outputs = buffer[self._out_rows].T
         if not np.isfinite(outputs).all():
-            self._raise_non_finite(buffer, entry[2])
+            # the inputs' rows may have been overwritten in place: reload
+            # them and re-run the schedule, noting the first bad step
+            buffer[self._in_dst] = inputs.T[self._in_src]
+            bad_in = ~np.isfinite(inputs.T[self._in_src]).all(axis=1)
+            bad = [*self._inv_nodes[~np.isfinite(entry[2])],
+                   *self._in_nodes[bad_in]]
+            node = self._locate(self._fwd, self._fwd_groups, rows)
+            node = int(min(bad if node is None else [*bad, node]))
+            raise NonFiniteError(node, _OP_NAMES[self._prog[node][0]])
         if counters is not None:
             counters.f_evals += n_lanes
         return outputs, buffer
 
-    def _raise_non_finite(self, buffer, inv):
-        bad = [*self._inv_nodes[~np.isfinite(inv)],
-               *self._row_node[~np.isfinite(buffer).all(axis=1)]]
-        node = int(min(bad))
-        raise NonFiniteError(node, _OP_NAMES[self._prog[node][0]])
-
-    def replay_reverse(self, buffer, seeds, *, out=None,
+    def replay_reverse(self, buffer, seeds, *, params=None, out=None,
                        counters=None) -> np.ndarray:
         """Reverse sweep from a filled forward buffer.
 
         ``seeds`` has shape (n_lanes, n_outputs): one output-weight vector
         per lane.  Any strides do; the transpose of a lane-major
-        (n_outputs, n_lanes) array is read row by row without a copy.
-        Returns per-lane parameter adjoints of shape (n_lanes, n_params):
-        row j holds sum_i seeds[j, i] * dy_i/dparam.  They are written into
-        ``out`` when given (a float64 array of that shape, returned), else
-        into a new array.  A non-finite parameter adjoint raises
-        ``ValueError`` when a seed the sweep reads is non-finite, else
-        :class:`NonFiniteError` naming the first node, in sweep order, whose
-        step wrote a non-finite adjoint among the adjoints that reach a
-        parameter (adjoints of constants, inputs and other parameter-free
+        (n_outputs, n_lanes) array is read row by row without a copy, and
+        seeds written into the buffer's own :attr:`seed_rows` are not
+        copied at all.  ``params`` are the parameters of the forward replay
+        that filled ``buffer`` (no buffer row holds them); omitted, they
+        are those of this tape's latest replay, so a replay racing with
+        other parameters must pass them.  Returns per-lane parameter
+        adjoints of shape (n_lanes, n_params): row j holds sum_i seeds[j, i]
+        * dy_i/dparam.  They are written into ``out`` when given (a float64
+        array of that shape, returned), else into a new array.  The sweep
+        writes only rows the forward values it reads do not hold, so it can
+        be rerun on one forward buffer.  A non-finite parameter adjoint
+        raises ``ValueError`` when a seed the sweep reads is non-finite,
+        else :class:`NonFiniteError` naming the first node, in sweep order,
+        whose step wrote a non-finite adjoint among the adjoints that reach
+        a parameter (adjoints of constants, inputs and other parameter-free
         nodes are not formed).
         """
         if buffer.ndim != 2 or buffer.shape[0] != self._n_rows:
@@ -701,37 +737,49 @@ class Tape:
                 f"float64, got {out.shape} {out.dtype}"
             )
         if n_lanes:
-            entry = self._invariants(buffer[: self.n_params, 0])
-            _, rows, adj = self._rows(buffer, entry)
-            self._reverse_sweep(rows, adj, seeds)
+            if params is not None:
+                entry = self._invariants(self._check_params(params))
+            elif self._cache[0] is None:
+                raise ValueError("no replay has run: pass params")
+            else:
+                entry = self._cache
+            rows = self._rows(buffer, entry)
+            # numpy skips assigning an array onto itself: seeds the caller
+            # wrote into the seed rows are not copied
+            buffer[self.seed_rows] = seeds.T
+            # non-finite parameter adjoints are detected below
+            with np.errstate(all="ignore"):
+                _run(self._rev, rows)
             # the first write of an adjoint is an assignment, which keeps a
             # -0.0 that accumulating onto +0.0 would not: fold it here
-            np.add(adj[self._grad_rows].T, 0.0, out=out)
+            np.add(buffer[self._grad_rows].T, 0.0, out=out)
             if not np.isfinite(out).all():
                 if not np.isfinite(seeds.T[self._seed_cols]).all():
                     raise ValueError("adjoint seed entries must be finite")
-                self._reverse_sweep(rows, adj, seeds, locate=True)
+                node = self._locate(self._rev, self._rev_groups, rows)
+                if node is not None:
+                    raise NonFiniteError(node, _OP_NAMES[self._prog[node][0]])
         if counters is not None:
             counters.r_evals += n_lanes
         return out
 
-    def _reverse_sweep(self, rows, adj, seeds, locate=False) -> None:
-        """Seed ``adj`` and run the reverse schedule over ``rows``; with
-        ``locate``, raise at the first node whose step writes a non-finite
-        adjoint.  Every adjoint row is written before it is read, so a
-        rerun needs no fresh rows."""
-        adj[: self._n_seed] = seeds.T[self._seed_cols]
-        # non-finite parameter adjoints are detected by the caller
+    @staticmethod
+    def _locate(steps, groups, rows):
+        """Re-run ``steps`` over ``rows`` group by group and return the node
+        of the first group ``(end, node, written rows)`` that writes a
+        non-finite value, or None.  Every row a step reads is written
+        before it, or holds an input or a seed, so the rerun reproduces the
+        sweep; it runs to the end, so the rows finish as the sweep left
+        them."""
+        first, start = None, 0
         with np.errstate(all="ignore"):
-            if not locate:
-                _run(self._rev, rows)
-                return
-            start = 0
-            for end, node, written in self._rev_groups:
-                _run(self._rev[start:end], rows)
+            for end, node, written in groups:
+                _run(steps[start:end], rows)
                 start = end
-                if not all(np.isfinite(rows[r]).all() for r in written):
-                    raise NonFiniteError(node, _OP_NAMES[self._prog[node][0]])
+                if first is None and not all(np.isfinite(rows[r]).all()
+                                             for r in written):
+                    first = node
+        return first
 
     # -- one input set: a one-lane replay ------------------------------------
 

@@ -22,7 +22,10 @@ def test_working_tree_against_itself_is_same(capsys):
     assert set(results.values()) == {"same"}
     kinds = {name.split()[0] for name in results}
     assert kinds == {"calibrate", "loss", "grad_est1", "grad_est2",
-                     "grad_est3", "grad_est_batched", "cli"}
+                     "grad_est3", "grad_est_batched", "cli", "generate_rows"}
+    # one draw item per generator, on a chunk edge
+    assert {"philox", "pcg64"} == {name.split()[1] for name in results
+                                   if name.startswith("generate_rows")}
     # the widest tape: the 96-quote surface runs one estimate end to end
     assert {"grad_est3 surface n 2000",
             "grad_est_batched alg 3 width 8 surface n 2000"} <= set(results)

@@ -130,9 +130,10 @@ class TestAlgorithm1:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # above the draws: one reduction stack and a few block buffers, no
-        # N x m matrix of outputs and no N x M matrix of terms
-        assert peak < stack_bytes(tape, 2048) + 2e6
+        # above the draws: one reduction stack and one 2048-lane block
+        # buffer with its stacks, 0.8 MB; no N x m matrix of outputs and no
+        # N x M matrix of terms
+        assert peak < stack_bytes(tape, 2048) + 1e6
 
     def test_peak_within_two_block_buffers(self):
         self.check_peak_within_two_block_buffers(5 * 10**4, 2048)
@@ -153,10 +154,13 @@ class TestAlgorithm1:
 
     @staticmethod
     def check_peak_within_two_block_buffers(n, lanes, run=est.grad_est1):
-        # every pass shares one block buffer, and nothing the tape keeps
-        # holds it after the call: the peak above the pre-drawn paths is one
-        # block-sized reduction stack plus well under two buffers of the
-        # width the run uses, however many paths there are
+        # every pass shares one block buffer, which holds the forward
+        # values and the adjoints alike, and nothing the tape keeps holds
+        # it after the call: the peak above the pre-drawn paths is that
+        # buffer, at the width the run uses, plus at most four block-sized
+        # stacks (the sums, algorithm 1's variance mask and its pass-one
+        # sum, and one reduction temporary), well within two buffers,
+        # however many paths there are
         spec, curve, tape = fixture_tape()
         paths = generate(6, n, 5)
         assert est._block_ranges(n, 1)[0] == (0, lanes)
@@ -168,7 +172,7 @@ class TestAlgorithm1:
         finally:
             tracemalloc.stop()
         block_bytes = tape.alloc_buffer(lanes).nbytes
-        assert peak <= stack_bytes(tape, lanes) + 2 * block_bytes
+        assert peak <= block_bytes + 4 * stack_bytes(tape, lanes) + 2**16
 
     def test_rejects_empty(self):
         tape = linear_toy_tape()

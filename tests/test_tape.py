@@ -454,12 +454,15 @@ class TestReplayLayout:
 class TestCompiledReplay:
     """The compiled schedules against the node-by-node reference sweeps."""
 
-    def test_buffer_holds_params_and_lane_dependent_nodes(self):
-        # exp(p) does not depend on the input: it is hoisted, not stored
+    def test_buffer_holds_no_params_or_invariant_nodes(self):
+        # exp(p) does not depend on the input: it is hoisted, not stored,
+        # and the parameter keys the invariant cache without a row.  The
+        # rows: the input (the reverse reads it), the parameter's adjoint,
+        # the seed and the output
         tape = tp.record(lambda p, w: [tp.exp(p[0]) * w[0]],
                          n_params=1, n_inputs=1)
         assert tape.n_nodes == 4
-        assert tape.alloc_buffer(2).shape == (3, 2)
+        assert tape.alloc_buffer(2).shape == (4, 2)
 
     def test_non_finite_invariant_node_named(self):
         # log(p0) does not depend on the input; at p0 = 0 it is the first
@@ -478,11 +481,12 @@ class TestCompiledReplay:
         seeds = np.ones((16, 1))
         vectors = ([0.2, 95.0], [0.3, 90.0])
         filled = [tape.replay_forward(p, block) for p in vectors]
-        # the invariant cache now holds the second vector's values
+        # the invariant cache now holds the second vector's values: the
+        # first buffer's reverse, given its parameters, recomputes them
         for p, (out, buf) in reversed(list(zip(vectors, filled))):
             ref = oracle.forward(tape, p, block)
             assert_same_bits(out, ref[tape.output_slots].T)
-            assert_same_bits(tape.replay_reverse(buf, seeds),
+            assert_same_bits(tape.replay_reverse(buf, seeds, params=p),
                              oracle.reverse(tape, ref, seeds)[tape.param_slots].T)
 
     def test_threads_with_different_params_match_reference(self):
@@ -498,7 +502,7 @@ class TestCompiledReplay:
 
         def replay(params):
             out, buf = tape.replay_forward(params, block)
-            return out, tape.replay_reverse(buf, seeds)
+            return out, tape.replay_reverse(buf, seeds, params=params)
 
         def reference(params):
             ref = oracle.forward(tape, params, block)
@@ -531,17 +535,20 @@ class TestCompiledReplay:
         assert matches == [200] * len(vectors)
 
     @pytest.mark.parametrize("market, max_steps, max_rows", [
-        (None, 54, 7), ("surface96.cfg", 351, 97)])
+        (None, 54, 32), ("surface96.cfg", 351, 225)])
     def test_reverse_schedule_copies_no_adjoint(self, market, max_steps,
                                                 max_rows):
-        # write-once adjoints placed in rows by one pass: an adjoint that
-        # starts two operands' adjoints is shared, never copied
+        # write-once values and adjoints placed in rows by one pass: an
+        # adjoint that starts two operands' adjoints is shared, never
+        # copied, and a block holds at most max_rows rows per lane, forward
+        # values and adjoints alike (47 and 337 before the forward shared
+        # its rows)
         spec, curve = (mdl.default_fixture() if market is None else
                        mdl.load_market_file(Path(__file__).with_name(market)))
         tape = mdl.build_model_tape(spec, curve)
         assert not any(f is np.positive for f, *_ in tape._rev)
         assert len(tape._rev) <= max_steps
-        assert tape._n_adj <= max_rows
+        assert tape.alloc_buffer(1).shape[0] <= max_rows
 
     @settings(max_examples=300, deadline=None)
     @given(program=random_programs(), lanes=st.sampled_from([1, 7, 2048]),
@@ -608,3 +615,71 @@ class TestNonFiniteContract:
         seeds[5, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             tape.replay_reverse(buf, seeds)
+
+    @pytest.mark.parametrize("lanes", [1, 8, 8192])
+    def test_shared_row_intermediate_named_at_every_width(self, lanes):
+        # 3 exp(w) overflows at w = 709 while exp(w) does not: the product
+        # is the first bad node, and the reverse never reads it, so it
+        # shares its row with the difference after it
+        tape = tp.record(lambda p, w: [(tp.exp(p[0] * w[0]) * 3.0 - 1.0)
+                                       * 0.5],
+                         n_params=1, n_inputs=1)
+        assert tape.op_name(5) == "mul"
+        written = [z for *_, z in tape._fwd]
+        assert len(set(written)) < len(written)
+        block = np.full((lanes, 1), 0.5)
+        block[-1] = 709.0
+        buf = tape.alloc_buffer(lanes)
+        for call in (lambda: tape.replay_forward([1.0], block, buffer=buf),
+                     lambda: tape.forward([1.0], [709.0])):
+            with pytest.raises(tp.NonFiniteError, match="mul") as exc:
+                call()
+            assert exc.value.node_index == 5
+        # the outputs are filled, the bad lane's with the overflow
+        assert np.isinf(buf[-1, -1]) and np.isfinite(buf[-1, :-1]).all()
+
+    @pytest.mark.parametrize("lanes", [1, 8])
+    def test_input_row_reused_in_place_is_reloaded_for_the_locate(self, lanes):
+        # the reverse never reads w, so w + 1 and then exp(w + 1) overwrite
+        # its row: the locate must replay from the inputs, not from that row
+        tape = tp.record(lambda p, w: [p[0] * tp.exp(w[0] + 1.0)],
+                         n_params=1, n_inputs=1)
+        assert tape.op_name(4) == "exp"
+        block = np.zeros((lanes, 1))
+        block[-1] = 709.0
+        buf = tape.alloc_buffer(lanes)
+        with pytest.raises(tp.NonFiniteError, match="exp") as exc:
+            tape.replay_forward([2.0], block, buffer=buf)
+        assert exc.value.node_index == 4
+        assert (buf[-1, :-1] == 2.0 * np.exp(1.0)).all()
+
+    def test_reverse_after_a_forward_raise_reads_the_full_run(self):
+        # exp(w0) takes w0's row in place and the reverse reads it; the bad
+        # node log(w1) comes first, and the locate's rerun must still leave
+        # exp(w0), not the reloaded w0, in that row
+        tape = tp.record(lambda p, w: [tp.log(w[1]), tp.exp(w[0]) * p[0]],
+                         n_params=1, n_inputs=2)
+        block = np.array([[0.5, 1.0], [0.25, -1.0]])
+        buf = tape.alloc_buffer(2)
+        with pytest.raises(tp.NonFiniteError, match="log") as exc:
+            tape.replay_forward([3.0], block, buffer=buf)
+        assert exc.value.node_index == 3
+        grads = tape.replay_reverse(buf, np.ones((2, 2)), params=[3.0])
+        assert (grads[:, 0] == np.exp(block[:, 0])).all()
+
+    def test_seeds_written_in_place_are_kept_for_the_locate(self):
+        # seeds written into the seed rows are read there, not copied, and
+        # the sweep leaves them intact: a non-finite adjoint is still
+        # located, and a non-finite seed still reported as one
+        tape = tp.record(lambda p, w: [tp.max0(-tp.exp(p[0] * w[0]))],
+                         n_params=1, n_inputs=1)
+        _, buf = tape.replay_forward([1000.0], np.ones((8, 1)))
+        seeds = buf[tape.seed_rows]
+        seeds[...] = 1.0
+        with pytest.raises(tp.NonFiniteError, match="exp") as exc:
+            tape.replay_reverse(buf, seeds.T)
+        assert exc.value.node_index == 3
+        assert (seeds == 1.0).all()
+        seeds[0, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            tape.replay_reverse(buf, seeds.T)

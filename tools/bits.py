@@ -19,7 +19,10 @@ computed, item by item:
   at n = 8193 and 2*10^4, and the estimates above at 2*10^4 paths;
 - every CSV the four CLI subcommands write at seed 3 and 2*10^4 paths
   (``calibrate`` at 40 iterations), without the timing columns, compared
-  as the text of their cells.
+  as the text of their cells;
+- ``generate_rows`` draws of both generators over CHUNK_ROWS + 2 rows from
+  start rows 0, 1, 3 and CHUNK_ROWS - 1, with 1, 3 and 5 inputs: a sha256
+  of the rows' bytes and the two rows on the chunk edge.
 
 Each item prints ``same`` when every value has the same bits on both
 sides, or ``differs`` with the largest relative difference.  ``--small``
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -48,17 +52,37 @@ TIMING = {"time_us", "millis", "k_f", "k_r", "t_scalar_f_us", "t_scalar_r_us",
 
 SURFACE = Path(__file__).parents[1] / "tests" / "surface96.cfg"
 
-# "surface" is (loss n, estimate n, algorithms) on SURFACE
+# "surface" is (loss n, estimate n, algorithms) on SURFACE; "draws" is
+# (generators, start rows, input counts), a start of -1 meaning
+# CHUNK_ROWS - 1
 FULL = {"calibrate": ((1, 2), (10_007, 100_000), 25),
         "loss_n": (1, 2, 8191, 8192, 8193, 3 * 8192 + 17, 100_000),
         "estimate_n": (100_000, 1_000_000),
         "surface": ((8193, 20_000), (20_000,), (1, 2, 3)),
-        "cli": ("20000", "40")}
+        "cli": ("20000", "40"),
+        "draws": (("philox", "pcg64"), (0, 1, 3, -1), (1, 3, 5))}
 SMALL = {"calibrate": ((1,), (2000,), 2),
          "loss_n": (1, 2, 8193),
          "estimate_n": (10_000,),
          "surface": ((), (2000,), (3,)),
-         "cli": ("2000", "2")}
+         "cli": ("2000", "2"),
+         "draws": (("philox", "pcg64"), (-1,), (3,))}
+
+
+def draws(items: dict, generators, starts, input_counts) -> None:
+    """``generate_rows`` over CHUNK_ROWS + 2 rows, so that the rows span a
+    chunk edge, as items ``generate_rows <generator> start <s> inputs <k>``:
+    the sha256 of the rows' bytes, then the two rows on the edge."""
+    from mcadjoint.rng_paths import CHUNK_ROWS, generate_rows
+
+    for gen in generators:
+        for start in starts:
+            start = CHUNK_ROWS - 1 if start == -1 else start
+            for k in input_counts:
+                rows = generate_rows(7, gen, start, start + CHUNK_ROWS + 2, k)
+                items[f"generate_rows {gen} start {start} inputs {k}"] = [
+                    hashlib.sha256(rows.tobytes()).hexdigest(),
+                    *rows[CHUNK_ROWS - 1: CHUNK_ROWS + 1].ravel().tolist()]
 
 
 def estimates(items: dict, label: str, spec, curve, n: int, algs) -> None:
@@ -116,6 +140,7 @@ def collect(sizes: dict) -> dict:
             items[f"loss {name} n {n}"] = list(
                 mdl.loss(market, market_curve, paths).expectations)
 
+    draws(items, *sizes["draws"])
     for n in sizes["estimate_n"]:
         estimates(items, "", spec, curve, n, (1, 2, 3))
     for n in surface_estimate_n:
