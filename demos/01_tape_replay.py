@@ -51,11 +51,12 @@ block = np.random.default_rng(1).standard_normal((8, 1))
 outputs, buffer = tape.replay_forward(params, block)
 scalar = np.array([tape.forward(params, row) for row in block])
 print("block == scalar, lane by lane:", bool((outputs == scalar).all()))
-# the buffer holds a row per parameter and per node that depends on the
-# draw; nodes of sigma and strike alone are evaluated once, off the buffer
+# the buffer holds the values that depend on the draw and the adjoints,
+# in rows that one placement pass shares; nodes of sigma and strike alone
+# are evaluated once, off the buffer, so the reverse is told the params
 print(f"buffer: {buffer.shape[0]} rows for {tape.n_nodes} tape nodes, "
       f"{buffer.shape[1]} lanes")
-adjoints = tape.replay_reverse(buffer, np.ones((8, 1)))
+adjoints = tape.replay_reverse(buffer, np.ones((8, 1)), params=params)
 scalar = np.array([tape.reverse(params, row, [1.0]) for row in block])
 print("reverse block == scalar, lane by lane:", bool((adjoints == scalar).all()))
 

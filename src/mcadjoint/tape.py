@@ -42,6 +42,7 @@ whose step first wrote a non-finite adjoint.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -273,6 +274,13 @@ def _index(seq):
     return np.asarray(seq, dtype=np.intp)
 
 
+def _lies_within(inner, outer):
+    """Whether the bytes ``inner`` spans lie within those ``outer`` spans."""
+    lo, hi = np.lib.array_utils.byte_bounds(inner)
+    outer_lo, outer_hi = np.lib.array_utils.byte_bounds(outer)
+    return outer_lo <= lo and hi <= outer_hi
+
+
 def _place(steps, first, keep, last):
     """``(row, n_rows)``: ``row`` maps each symbol of a write-once schedule
     to a row, placed in one linear scan.
@@ -311,9 +319,11 @@ class Tape:
     forward values and the adjoints (:meth:`alloc_buffer`), lanes on axis
     1.  The only state a replay touches is a one-entry cache of the
     lane-invariant values, keyed by the parameter bytes and checked on
-    every use, so concurrent replays of one tape are safe with the same or
-    with different parameters, as long as each reverse sweep is passed the
-    parameters of its forward replay.
+    every use, and a note of which buffer the latest forward replay filled
+    with which invariants.  Concurrent replays of one tape are safe with
+    the same or with different parameters, as long as each reverse sweep is
+    passed the parameters of its forward replay; a sweep that is not, and
+    whose buffer the latest forward did not fill, raises ``ValueError``.
     """
 
     def __init__(self, ops, param_slots, input_slots, output_slots):
@@ -324,6 +334,7 @@ class Tape:
         self._validate()
         self._compile()
         self._cache = (None, None, None)
+        self._filled = (None, None)
         self._bound = (None, None, None)
 
     # -- structure ----------------------------------------------------------
@@ -460,7 +471,11 @@ class Tape:
         row, n_rows = _place(fwd + rev, inputs, [*keep, *grads],
                              [*seeds, *outputs])
         # renumber the shared rows so that the parameter adjoints end them
-        # as one run, in parameter order: the fold reads a slice
+        # as one run, in parameter order: ``_index`` then makes the fold's
+        # row map a slice, and the fold reads a view of the buffer instead
+        # of gathering an (n_params, n_lanes) copy.  This holds on the model
+        # tapes; where parameters share the zero adjoint, or an adjoint is a
+        # seed, the map stays an index array.
         pool = n_rows - 2 * self.n_outputs
         tail = list(dict.fromkeys(row[s] for s in grads if row[s] < pool))
         order = [r for r in range(pool) if r not in tail] + tail
@@ -679,6 +694,8 @@ class Tape:
         # non-finite values are detected explicitly below; keep IEEE quiet
         with np.errstate(all="ignore"):
             _run(self._fwd, rows)
+        # a weak reference: the tape pins no buffer
+        self._filled = (weakref.ref(buffer), entry)
         outputs = buffer[self._out_rows].T
         if not np.isfinite(outputs).all():
             # the inputs' rows may have been overwritten in place: reload
@@ -703,11 +720,12 @@ class Tape:
         (n_outputs, n_lanes) array is read row by row without a copy, and
         seeds written into the buffer's own :attr:`seed_rows` are not
         copied at all.  ``params`` are the parameters of the forward replay
-        that filled ``buffer`` (no buffer row holds them); omitted, they
-        are those of this tape's latest replay, so a replay racing with
-        other parameters must pass them.  Returns per-lane parameter
-        adjoints of shape (n_lanes, n_params): row j holds sum_i seeds[j, i]
-        * dy_i/dparam.  They are written into ``out`` when given (a float64
+        that filled ``buffer`` (no buffer row holds them).  They may be
+        omitted only when this tape's latest forward replay filled
+        ``buffer`` or a block of lanes that holds it, whose parameters are
+        then used; otherwise omitting them raises ``ValueError``.  Returns
+        per-lane parameter adjoints of shape (n_lanes, n_params): row j
+        holds sum_i seeds[j, i] * dy_i/dparam.  They are written into ``out`` when given (a float64
         array of that shape, returned), else into a new array.  The sweep
         writes only rows the forward values it reads do not hold, so it can
         be rerun on one forward buffer.  A non-finite parameter adjoint
@@ -739,10 +757,8 @@ class Tape:
         if n_lanes:
             if params is not None:
                 entry = self._invariants(self._check_params(params))
-            elif self._cache[0] is None:
-                raise ValueError("no replay has run: pass params")
             else:
-                entry = self._cache
+                entry = self._filled_by(buffer)
             rows = self._rows(buffer, entry)
             # numpy skips assigning an array onto itself: seeds the caller
             # wrote into the seed rows are not copied
@@ -762,6 +778,18 @@ class Tape:
         if counters is not None:
             counters.r_evals += n_lanes
         return out
+
+    def _filled_by(self, buffer):
+        """The invariants of the latest forward replay, when it filled
+        ``buffer`` or a block of lanes that holds it; else ``ValueError``."""
+        ref, entry = self._filled
+        filled = None if ref is None else ref()
+        if filled is not buffer and not (
+                filled is not None and filled.strides == buffer.strides
+                and _lies_within(buffer, filled)):
+            raise ValueError("the latest forward replay did not fill this "
+                             "buffer: pass the params of the one that did")
+        return entry
 
     @staticmethod
     def _locate(steps, groups, rows):
@@ -801,7 +829,7 @@ class Tape:
         seeds = self._one_lane(seed, self.n_outputs, "seed weights")
         inputs = self._one_lane(inputs, self.n_inputs, "inputs")
         return self.replay_reverse(self.replay_forward(params, inputs)[1],
-                                   seeds)[0]
+                                   seeds, params=params)[0]
 
 
 def record(program, n_params: int, n_inputs: int) -> Tape:

@@ -481,13 +481,22 @@ class TestCompiledReplay:
         seeds = np.ones((16, 1))
         vectors = ([0.2, 95.0], [0.3, 90.0])
         filled = [tape.replay_forward(p, block) for p in vectors]
-        # the invariant cache now holds the second vector's values: the
-        # first buffer's reverse, given its parameters, recomputes them
+        # no buffer row holds the parameters: the first buffer's reverse
+        # without them raises rather than read the second vector's
+        # invariants, and given them it recomputes its own
+        with pytest.raises(ValueError, match="pass the params"):
+            tape.replay_reverse(filled[0][1], seeds)
         for p, (out, buf) in reversed(list(zip(vectors, filled))):
             ref = oracle.forward(tape, p, block)
+            expect = oracle.reverse(tape, ref, seeds)[tape.param_slots].T
             assert_same_bits(out, ref[tape.output_slots].T)
-            assert_same_bits(tape.replay_reverse(buf, seeds, params=p),
-                             oracle.reverse(tape, ref, seeds)[tape.param_slots].T)
+            assert_same_bits(tape.replay_reverse(buf, seeds, params=p), expect)
+        # the latest forward's buffer, or lanes of it, may omit them
+        latest = filled[1][1]
+        assert_same_bits(tape.replay_reverse(latest[:, 4:], seeds[4:]),
+                         tape.replay_reverse(latest, seeds)[4:])
+        with pytest.raises(ValueError, match="pass the params"):
+            tape.replay_reverse(latest.copy(), seeds)
 
     def test_threads_with_different_params_match_reference(self):
         # more threads than cores, each with its own parameter vector, and a
@@ -549,6 +558,9 @@ class TestCompiledReplay:
         assert not any(f is np.positive for f, *_ in tape._rev)
         assert len(tape._rev) <= max_steps
         assert tape.alloc_buffer(1).shape[0] <= max_rows
+        # the parameter adjoints end the shared rows as one run: the fold
+        # reads a view of the buffer, not a gathered copy
+        assert isinstance(tape._grad_rows, slice)
 
     @settings(max_examples=300, deadline=None)
     @given(program=random_programs(), lanes=st.sampled_from([1, 7, 2048]),
@@ -598,7 +610,8 @@ class TestNonFiniteContract:
         out, buf = tape.replay_forward([1000.0], np.ones((lanes, 1)))
         assert (out == 0.0).all()
         assert tape.forward([1000.0], [1.0])[0] == 0.0
-        for call in (lambda: tape.replay_reverse(buf, np.ones((lanes, 1))),
+        for call in (lambda: tape.replay_reverse(buf, np.ones((lanes, 1)),
+                                                 params=[1000.0]),
                      lambda: tape.reverse([1000.0], [1.0], [1.0])):
             with pytest.raises(tp.NonFiniteError, match="exp") as exc:
                 call()
