@@ -70,6 +70,8 @@ __all__ = [
 BLOCK_PATHS = 8192
 # paths replayed one lane at a time for the scalar baseline of K_F/K_R
 _SCALAR_PATHS = 256
+# the phases of a sweep, in GradientEstimate.phases
+_PHASES = ("generate", "forward", "seed", "reverse", "reduce")
 
 
 @dataclass
@@ -92,8 +94,9 @@ class GradientEstimate:
     r_evals: int
     algorithm: int
     millis: float = 0.0
-    # milliseconds spent in each phase of the sweep: forward replay,
-    # seeding, reverse replay, reduction of the contributions
+    # milliseconds spent in each phase of the sweep: filling or waiting
+    # for draw rows, forward replay, seeding, reverse replay, reduction of
+    # the contributions
     phases: dict = field(default_factory=dict)
 
 
@@ -266,7 +269,10 @@ def _sweep(tape: Tape, params, paths: PathBatch, ranges, buffer,
            sums: _Sums = None) -> None:
     """Replay the blocks of ``ranges`` in path order, counting into ``counters``.
 
-    Each block is forwarded into the leading lanes of ``buffer``.
+    Each block's draws are read through ``paths.rows``, which fills them
+    if they are still pending, while helper threads fill ahead
+    (``PathBatch.reading``); each block is then forwarded into the leading
+    lanes of ``buffer``.
     ``seed(lo, hi, y, s)`` gets the block's outputs and its seed rows
     (``tape.seed_rows``), both lane-major of shape (n_outputs, hi - lo); it
     writes the seeds of the block's last k paths into the last k lanes of
@@ -278,27 +284,31 @@ def _sweep(tape: Tape, params, paths: PathBatch, ranges, buffer,
     """
     clock = time.perf_counter
     seed_rows = buffer[tape.seed_rows]
-    for lo, hi in ranges:
-        n = hi - lo
-        # a full block replays into the bound buffer object itself, so that
-        # its row views are reused
-        block = buffer if n == buffer.shape[1] else buffer[:, :n]
-        t0 = clock()
-        y, _ = tape.replay_forward(params, paths.draws[lo:hi], buffer=block,
-                                   counters=counters)
-        t1 = clock()
-        k = seed(lo, hi, y.T, seed_rows[:, :n])
-        t2 = clock()
-        phases["forward"] += t1 - t0
-        phases["seed"] += t2 - t1
-        if k:
-            tape.replay_reverse(block if k == n else block[:, n - k:],
-                                seed_rows[:, n - k: n].T, params=params,
-                                out=sums.rows(k), counters=counters)
+    with paths.reading():
+        for lo, hi in ranges:
+            n = hi - lo
+            # a full block replays into the bound buffer object itself, so
+            # that its row views are reused
+            block = buffer if n == buffer.shape[1] else buffer[:, :n]
+            t0 = clock()
+            w = paths.rows(lo, hi)
+            t1 = clock()
+            y, _ = tape.replay_forward(params, w, buffer=block,
+                                       counters=counters)
+            t2 = clock()
+            k = seed(lo, hi, y.T, seed_rows[:, :n])
             t3 = clock()
-            sums.commit(k)
-            phases["reverse"] += t3 - t2
-            phases["reduce"] += clock() - t3
+            phases["generate"] += t1 - t0
+            phases["forward"] += t2 - t1
+            phases["seed"] += t3 - t2
+            if k:
+                tape.replay_reverse(block if k == n else block[:, n - k:],
+                                    seed_rows[:, n - k: n].T, params=params,
+                                    out=sums.rows(k), counters=counters)
+                t4 = clock()
+                sums.commit(k)
+                phases["reverse"] += t4 - t3
+                phases["reduce"] += clock() - t4
 
 
 def _lagged_seeds(algorithm: int, lag: int, targets, size: int):
@@ -386,7 +396,7 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
                      batches=min(batch_count, (n - lag) // 16))
     else:  # algorithm 1's variance or none
         sums = _Sums(tape.n_params, size, iid=batch_count > 0)
-    phases = dict.fromkeys(("forward", "seed", "reverse", "reduce"), 0.0)
+    phases = dict.fromkeys(_PHASES, 0.0)
     counters = ReplayCounters()
     # one block buffer serves every pass: a buffer freed after each block
     # lets malloc return its pages, and every block faults them back in
@@ -523,7 +533,7 @@ def _replay_cost(tape: Tape, params, paths: PathBatch, n_rows: int,
     """
     n = min(n_rows, paths.n_paths) // width * width
     ranges = [(lo, lo + width) for lo in range(0, n, width)]
-    phases = dict.fromkeys(("forward", "seed", "reverse", "reduce"), 0.0)
+    phases = dict.fromkeys(_PHASES, 0.0)
     buffer = tape.alloc_buffer(width)
 
     def unit(lo, hi, y, s):
@@ -559,6 +569,7 @@ def measure_correction_coefficients(tape: Tape, params, paths: PathBatch,
                              repeats=0, degenerate=True)
     if paths.n_paths < width:
         raise ValueError("need at least one full-width chunk to measure")
+    paths.draws  # filled now, so that no fill runs beside a timed replay
 
     # per run: scalar forward, scalar reverse, batched forward, batched reverse
     runs = np.array([_replay_cost(tape, params, paths, _SCALAR_PATHS, 1)

@@ -252,8 +252,10 @@ def _write_payoffs(spec: MarketSpec, curve: VolCurve, w, out) -> None:
 def loss(spec: MarketSpec, curve: VolCurve, paths: PathBatch) -> LossValue:
     """Monte-Carlo calibration loss over a path batch.
 
-    The payoff program writes blocks of ``_LOSS_ROWS`` paths straight into
-    the rows of a total-only ``estimators._Sums``: no (n_paths, n_options)
+    The payoff program reads the draws ``_LOSS_ROWS`` paths at a time
+    through ``paths.rows``, which fills rows still pending
+    (``PathBatch.reading``), and writes each block straight into the rows
+    of a total-only ``estimators._Sums``: no (n_paths, n_options)
     payoff matrix is formed, a block's temporaries stay cache-sized, and
     the payoffs add in path order for any number of options and blocks.
     ``payoffs(...).mean(axis=0)`` adds in that order too for two or more
@@ -265,10 +267,11 @@ def loss(spec: MarketSpec, curve: VolCurve, paths: PathBatch) -> LossValue:
         raise ValueError("paths must be nonempty")
     _check_drivers(spec, paths.n_inputs)
     sums = _Sums(spec.n_options, min(n, _LOSS_ROWS))
-    for lo in range(0, n, _LOSS_ROWS):
-        w = paths.draws[lo: lo + _LOSS_ROWS]
-        _write_payoffs(spec, curve, w, sums.rows(len(w)))
-        sums.commit(len(w))
+    with paths.reading():
+        for lo in range(0, n, _LOSS_ROWS):
+            w = paths.rows(lo, lo + _LOSS_ROWS)
+            _write_payoffs(spec, curve, w, sums.rows(len(w)))
+            sums.commit(len(w))
     expectations = sums.total / n
     residuals = expectations - spec.prices
     g = 0.5 * float(residuals @ residuals)

@@ -553,7 +553,8 @@ class TestPhases:
         paths = generate(24, 10**6, 5)
         for fn in (est.grad_est1, est.grad_est2, est.grad_est3):
             e = fn(tape, curve.knot_vols, paths, spec.prices)
-            assert list(e.phases) == ["forward", "seed", "reverse", "reduce"]
+            assert list(e.phases) == ["generate", "forward", "seed",
+                                      "reverse", "reduce"]
             assert all(t > 0 for t in e.phases.values())
             total = sum(e.phases.values())
             assert abs(total - e.millis) <= 0.05 * e.millis, (
