@@ -44,6 +44,7 @@ sweep.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,8 +96,9 @@ class GradientEstimate:
     algorithm: int
     millis: float = 0.0
     # milliseconds spent in each phase of the sweep: filling or waiting
-    # for draw rows, forward replay, seeding, reverse replay, reduction of
-    # the contributions
+    # for draw rows (both of algorithm 1's passes: the second draws its rows
+    # again when the batch is larger than its window), forward replay,
+    # seeding, reverse replay, reduction of the contributions
     phases: dict = field(default_factory=dict)
 
 
@@ -231,12 +233,29 @@ class _Sums:
 # -- the block engine ---------------------------------------------------------
 
 
-def _block_ranges(n_paths: int, lag: int):
+class _Blocks(Sequence):
+    """The (lo, hi) of blocks of ``size`` paths over [0, n_paths), in path
+    order, made as they are read: a run holds no list of its blocks."""
+
+    def __init__(self, n_paths: int, size: int):
+        self.starts, self.n_paths, self.size = (range(0, n_paths, size),
+                                                n_paths, size)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        lo = self.starts[i]
+        return lo, min(lo + self.size, self.n_paths)
+
+
+def _block_ranges(n_paths: int, lag: int) -> _Blocks:
     """Blocks of n_paths // 64 paths, clamped to [2048, BLOCK_PATHS] and
     rounded down to a multiple of lag (never below lag), in path order."""
     width = min(BLOCK_PATHS, max(2048, n_paths // 64))
-    size = max(lag, width // lag * lag)
-    return [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    return _Blocks(n_paths, max(lag, width // lag * lag))
 
 
 def _check_inputs(tape: Tape, params, paths: PathBatch, targets) -> tuple:
@@ -272,7 +291,7 @@ def _sweep(tape: Tape, params, paths: PathBatch, ranges, buffer,
     Each block's draws are read through ``paths.rows``, which fills them
     if they are still pending, while helper threads fill ahead
     (``PathBatch.reading``); each block is then forwarded into the leading
-    lanes of ``buffer``.
+    lanes of ``buffer`` before the next read.
     ``seed(lo, hi, y, s)`` gets the block's outputs and its seed rows
     (``tape.seed_rows``), both lane-major of shape (n_outputs, hi - lo); it
     writes the seeds of the block's last k paths into the last k lanes of
@@ -404,22 +423,18 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
     buffer = tape.alloc_buffer(size)
     with tape.bound(buffer):
         if algorithm == 1:
-            # pass one carries the outputs' sum as row 0 of a stack, so rows
-            # add in path order as in _Sums; its .sum(axis=0) keeps criterion
-            # 5's margin: on _Sums's einsum this seed phase fell from 21-22 to
-            # 11 ms at 10^6 paths and t1/t3 read 1.29-1.30 in 2 of 4 solo runs
-            # (1.48-1.60 with this sum; the gate is 1.3, 2-vCPU host)
-            m = tape.n_outputs
-            stack = np.zeros((size + 1, max(2, m)))
+            # pass one sums the outputs in path order; pass two reads the
+            # blocks again, which a batch larger than its window draws again
+            outputs = _Sums(tape.n_outputs, size)
 
             def add_outputs(lo, hi, y, s):
-                stack[1: hi - lo + 1, :m] = y.T
-                stack[0] = stack[: hi - lo + 1].sum(axis=0)
+                outputs.rows(hi - lo)[...] = y.T
+                outputs.commit(hi - lo)
                 return 0
 
             _sweep(tape, params, paths, ranges, buffer, counters, add_outputs,
                    phases)
-            lam = stack[0, :m, None] / n - targets[:, None]
+            lam = outputs.total[:, None] / n - targets[:, None]
 
             def seed(lo, hi, y, s):
                 s[...] = lam
@@ -455,9 +470,10 @@ def grad_est1(tape: Tape, params, paths: PathBatch, targets, *,
 
     Pass one replays every path forward and keeps only the running sum of
     the outputs; pass two replays the forward values again for the reverse
-    sweep, so f_evals = 2 N and r_evals = N.  The variance is the terms'
-    sample variance over N; ``batch_count=0`` skips it (all NaN), any other
-    count must be >= 2 and is not read.
+    sweep, so f_evals = 2 N and r_evals = N.  A batch larger than its
+    window (``rng_paths.generate``) is drawn once per pass.  The variance
+    is the terms' sample variance over N; ``batch_count=0`` skips it (all
+    NaN), any other count must be >= 2 and is not read.
     """
     return _estimate(1, tape, params, paths, targets, batch_count, n_threads)
 
@@ -569,7 +585,8 @@ def measure_correction_coefficients(tape: Tape, params, paths: PathBatch,
                              repeats=0, degenerate=True)
     if paths.n_paths < width:
         raise ValueError("need at least one full-width chunk to measure")
-    paths.draws  # filled now, so that no fill runs beside a timed replay
+    # finished draws, so that no fill runs beside a timed replay
+    paths = PathBatch(paths.draws, paths.seed, paths.generator_id)
 
     # per run: scalar forward, scalar reverse, batched forward, batched reverse
     runs = np.array([_replay_cost(tape, params, paths, _SCALAR_PATHS, 1)

@@ -7,7 +7,8 @@ of the Monte-Carlo adjoint estimators; the path set is regenerated from
 (seed, iteration) at the start of every iteration and frozen while that
 iteration's line search runs, so each line search sees a coherent
 objective.  The previous iteration's path set is released before the next
-is drawn, so at most one path set is alive at a time.  On a path set the
+is drawn, so at most one path set is alive at a time, and each set is held
+whole at any size, since the line search reads it again.  On a path set the
 loss is evaluated once per point: the gradient call that follows an
 accepted line search reuses the accepted probe's value, and the estimator
 computes no variance, which the driver never reads.  The module also
@@ -224,17 +225,18 @@ def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
 
     Each iteration draws a fresh path set from (seed, iteration), evaluates
     the Monte-Carlo loss and the algorithm's gradient estimate on it, and
-    keeps that set frozen for the whole line search; the previous set is
-    released before the next is drawn.  The estimator runs with
-    ``batch_count=0``: only its gradient is read.  The last loss value is
-    kept with the bytes of its point until the next set is drawn, so the
-    gradient call after an accepted line search reuses the accepted probe's
-    value instead of evaluating the loss again.  ``config`` defaults
-    to the module's ``_CALIBRATION`` settings, which also fill an unset
-    ``param_floor`` or ``max_step``.  Returns ``(calibrated_curve, trace)``;
-    the trace carries exact cumulative path-level forward/reverse counts of
-    the replays and loss forwards actually run: n_mc forwards per loss
-    value computed, plus each estimator call's (F, R).
+    keeps that set frozen, and whole at any n_mc, for the whole line
+    search; the previous set is released before the next is drawn.  The
+    estimator runs with ``batch_count=0``: only its gradient is read.  The
+    last loss value is kept with the bytes of its point until the next set
+    is drawn, so the gradient call after an accepted line search reuses the
+    accepted probe's value instead of evaluating the loss again.  ``config``
+    defaults to the module's ``_CALIBRATION`` settings, which also fill an
+    unset ``param_floor`` or ``max_step``.  Returns
+    ``(calibrated_curve, trace)``; the trace carries exact cumulative
+    path-level forward/reverse counts of the replays and loss forwards
+    actually run: n_mc forwards per loss value computed, plus each
+    estimator call's (F, R).
     """
     if algorithm not in _ESTIMATORS:
         raise ValueError(f"algorithm must be 1, 2 or 3, got {algorithm}")
@@ -256,8 +258,10 @@ def calibrate(spec: mdl.MarketSpec, curve0: mdl.VolCurve, algorithm: int,
     def step_setup(iteration):
         # let the last set go before drawing the next
         state["paths"], state["last"] = None, (None, None)
-        state["paths"] = rng.generate(_step_seed(seed, iteration), n_mc,
-                                      tape.n_inputs, generator_id)
+        # held whole at any n_mc: the line search reads it about four times
+        state["paths"] = rng._unfilled(_step_seed(seed, iteration),
+                                       generator_id, 0, n_mc, tape.n_inputs,
+                                       whole=True)
 
     def value_only(x):
         key = x.tobytes()

@@ -29,6 +29,9 @@ def test_working_tree_against_itself_is_same(capsys):
     # the widest tape: the 96-quote surface runs one estimate end to end
     assert {"grad_est3 surface n 2000",
             "grad_est_batched alg 3 width 8 surface n 2000"} <= set(results)
+    # an estimate on more paths than a batch's window, across its seam
+    assert {"grad_est3 n 150001",
+            "grad_est_batched alg 3 width 8 n 150001"} <= set(results)
     assert lines[-1] == f"0 of {len(results)} items differ"
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import mcadjoint.estimators as est
 import mcadjoint.model as mdl
+import mcadjoint.rng_paths as rng
 import mcadjoint.tape as tp
 from mcadjoint.rng_paths import PathBatch, generate
 
@@ -188,6 +189,37 @@ class TestAlgorithm1:
         with pytest.raises(tp.NonFiniteError) as exc:
             est.grad_est1(tape, [1.0], zeros, [0.0])
         assert exc.value.node_index == 3
+
+
+    @pytest.mark.parametrize("run", [est.grad_est1, est.grad_est3],
+                             ids=["alg1", "alg3"])
+    def test_peak_of_a_large_batch_is_its_window(self, run):
+        # a batch from generate holds at most its window of draws, so a
+        # generate-and-estimate peaks at that window plus what the estimate
+        # holds on finished draws, however many paths it has; the finished
+        # run has the 8192-lane blocks of both sizes
+        spec, curve, tape = fixture_tape()
+        args = [tape, curve.knot_vols, None, spec.prices]
+        args[2] = PathBatch(generate(7, 2**19, 5).draws, 7, "philox")
+        run(*args)  # warm up
+        tracemalloc.start()
+        try:
+            run(*args)
+            footprint = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        args[2] = None
+        window = rng._WINDOW_CHUNKS * rng.CHUNK_ROWS * tape.n_inputs * 8
+        for n in (10**6, 4 * 10**6):
+            tracemalloc.start()
+            try:
+                args[2] = generate(8, n, 5)
+                run(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                args[2] = None
+            assert peak <= window + footprint + 2**16, n
 
 
 class TestAlgorithm2:
@@ -632,9 +664,11 @@ class TestNoVariance:
         run = est.grad_est_batched(algorithm, tape, curve.knot_vols,
                                    generate(23, 10_000, 5), spec.prices, 1,
                                    batch_count=0)
-        [sums] = built
+        # the gradient's sums, and algorithm 1's pass-one output sum
+        sums, *outputs = built
+        assert len(outputs) == (algorithm == 1)
         for name in ("mask", "s1", "s2", "nonzero", "sums"):
-            assert not hasattr(sums, name)
+            assert not [s for s in built if hasattr(s, name)]
         assert sums.done == run.r_evals
         assert np.isnan(sums.finish()).all()
 

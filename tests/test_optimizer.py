@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import rng_oracle as oracle
 import mcadjoint.model as mdl
 import mcadjoint.optimizer as opt
 from mcadjoint.optimizer import (
@@ -292,7 +293,8 @@ class TestCalibrate:
         # in a plain run: a cache keyed on id() of the draws then hands out
         # the previous set's value
         spec, curve = mdl.default_fixture()
-        generate, minimize, loss = (opt.rng.generate, opt.lbfgs_minimize,
+        # calibrate draws each set whole through the internal constructor
+        generate, minimize, loss = (opt.rng._unfilled, opt.lbfgs_minimize,
                                     mdl.loss)
         current, checked = [], []
 
@@ -319,7 +321,7 @@ class TestCalibrate:
 
             return minimize(grad, x0, config, value_fn=probe, **kwargs)
 
-        monkeypatch.setattr(opt.rng, "generate", tracked_generate)
+        monkeypatch.setattr(opt.rng, "_unfilled", tracked_generate)
         monkeypatch.setattr(opt, "lbfgs_minimize", checked_minimize)
         _, trace = calibrate(spec, curve, algorithm, 4000, seed=6,
                              config=LbfgsConfig(max_iter=6))
@@ -329,7 +331,7 @@ class TestCalibrate:
     def test_holds_one_path_set(self, algorithm, monkeypatch):
         # each iteration's draw finds every earlier path set already freed
         spec, curve = mdl.default_fixture()
-        generate, alive = opt.rng.generate, []
+        generate, alive = opt.rng._unfilled, []
 
         def tracked_generate(*args, **kwargs):
             assert all(ref() is None for ref in alive), \
@@ -338,11 +340,42 @@ class TestCalibrate:
             alive.extend([weakref.ref(batch), weakref.ref(batch.draws)])
             return batch
 
-        monkeypatch.setattr(opt.rng, "generate", tracked_generate)
+        monkeypatch.setattr(opt.rng, "_unfilled", tracked_generate)
         _, trace = calibrate(spec, curve, algorithm, 4000, seed=5,
                              config=LbfgsConfig(max_iter=3))
         # sets drawn for iterations 0, 1 and 2; the last needs no fresh set
         assert trace.status == "max_iter" and len(alive) == 2 * 3
+
+    def test_a_set_above_the_window_is_held_whole(self, monkeypatch):
+        # the line search reads each set about four times: every chunk is
+        # drawn once per set, and the trace is that of finished draws
+        spec, curve = mdl.default_fixture()
+        chunk = opt.rng.CHUNK_ROWS
+        n_mc = opt.rng._WINDOW_CHUNKS * chunk + 1
+        config = LbfgsConfig(max_iter=2)
+        fill_rows, fills = opt.rng._fill_rows, []
+
+        def counted(out, seed, generator_id, start):
+            fills.append(start)
+            fill_rows(out, seed, generator_id, start)
+
+        monkeypatch.setattr(opt.rng, "_fill_rows", counted)
+        _, trace = calibrate(spec, curve, 1, n_mc, seed=4, config=config)
+        monkeypatch.undo()
+        sets = min(len(trace), config.max_iter)
+        assert sorted(fills) == sorted(list(range(0, n_mc, chunk)) * sets)
+
+        def finished(seed, generator_id, start, stop, n_inputs, whole=False):
+            draws = oracle.generate(seed, stop - start, n_inputs, generator_id)
+            return opt.rng.PathBatch(draws, seed, generator_id)
+
+        monkeypatch.setattr(opt.rng, "_unfilled", finished)
+        _, expect = calibrate(spec, curve, 1, n_mc, seed=4, config=config)
+        assert trace.status == expect.status
+        for got, want in zip(trace.records, expect.records, strict=True):
+            assert (got.loss, got.grad_norm, got.f_evals, got.r_evals) == (
+                want.loss, want.grad_norm, want.f_evals, want.r_evals)
+            assert got.params.tobytes() == want.params.tobytes()
 
     def test_algorithm_validation(self):
         spec, curve = mdl.default_fixture()

@@ -450,3 +450,186 @@ class TestReadersFill:
         finished = est.grad_est3(
             tape, vols, rng.PathBatch(expect, 38, "philox"), targets)
         assert done["e"].grad.tobytes() == finished.grad.tobytes()
+
+
+K = rng._WINDOW_CHUNKS
+WINDOW_SIZES = [K * C - 1, K * C, K * C + 1, 3 * K * C + 7]
+
+
+class TestWindow:
+    """A batch larger than ``_WINDOW_CHUNKS`` chunks holds them in a ring of
+    chunk slots and draws a chunk again when a read comes back to it."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n", WINDOW_SIZES)
+    def test_reads_match_the_oracle(self, n, cpus, monkeypatch):
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+        expect = oracle.generate(41, n, 3)
+        batch = rng.generate(41, n, 3)
+        assert batch._draws.shape == (min(n, K * C), 3)
+        with batch.reading():  # forward in blocks that straddle chunk edges
+            for lo in range(0, n, 4687):
+                got = batch.rows(lo, lo + 4687)
+                assert same_bytes(got, expect[lo:lo + 4687]), lo
+        with batch.reading():  # backward, over chunks evicted since
+            for lo in range(n - 5000, -5000, -5000):
+                lo = max(lo, 0)
+                got = batch.rows(lo, lo + 5000)
+                assert same_bytes(got, expect[lo:lo + 5000]), lo
+        # a chunk edge inside the ring is a view; the ring's seam a copy
+        edge = batch.rows(C - 5, C + 5)
+        assert same_bytes(edge, expect[C - 5:C + 5])
+        assert np.shares_memory(edge, batch._draws)
+        if n > K * C:
+            seam = batch.rows(K * C - 5, K * C + 5)
+            assert same_bytes(seam, expect[K * C - 5:K * C + 5])
+            assert not np.shares_memory(seam, batch._draws)
+        assert not rng_threads()
+
+    def test_two_threads_read_at_once(self, monkeypatch):
+        # one reads forward and one backward, each pinning its last read;
+        # a chunk whose slot the other pins is drawn into a copy
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+        n = 3 * K * C + 7
+        expect = oracle.generate(42, n, 3)
+        batch = rng.generate(42, n, 3)
+
+        def forward():
+            with batch.reading():
+                return [(lo, batch.rows(lo, lo + 4687).copy())
+                        for lo in range(0, n, 4687)]
+
+        def backward():
+            with batch.reading():
+                return [(lo, batch.rows(lo, lo + 5000).copy())
+                        for lo in range(n - 5000, -1, -5000)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as readers:
+                futures = [readers.submit(forward), readers.submit(backward)]
+                parts = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert not rng_threads()
+        for part in parts:
+            for lo, rows in part:
+                assert same_bytes(rows, expect[lo:lo + len(rows)]), lo
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda b: b.draws,
+        lambda b: pickle.loads(pickle.dumps(b)).draws,
+        lambda b: copy.deepcopy(b).draws])
+    def test_full_matrix(self, copy_of):
+        n = K * C + 9
+        batch = rng.generate(43, n, 2)
+        with batch.reading():
+            batch.rows(n - 9, n)
+        assert same_bytes(copy_of(batch), oracle.generate(43, n, 2))
+        assert batch._draws.shape == (K * C, 2)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_helpers_stay_within_the_window(self, cpus, monkeypatch):
+        # helpers never evict a chunk the reader has yet to read: a read in
+        # path order draws each chunk once, and algorithm 1, whose second
+        # pass finds every chunk evicted, draws each chunk twice
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+        fill_rows, fills = rng._fill_rows, []
+
+        def counted(out, seed, generator_id, start):
+            fills.append(start)
+            fill_rows(out, seed, generator_id, start)
+
+        monkeypatch.setattr(rng, "_fill_rows", counted)
+        n = 2 * K * C
+        batch = rng.generate(46, n, 5)
+        with batch.reading():
+            for lo in range(0, n, 8192):
+                batch.rows(lo, lo + 8192)
+                time.sleep(0.005)  # a slow reader: helpers run ahead
+        assert sorted(fills) == list(range(0, n, C))
+        fills.clear()
+        tape, vols, targets = fixture_run()
+        est.grad_est1(tape, vols, rng.generate(46, n, 5), targets)
+        assert sorted(fills) == sorted(list(range(0, n, C)) * 2)
+
+    def test_full_matrix_is_drawn_again_only_once_let_go(self, monkeypatch):
+        fill_rows, fills = rng._fill_rows, []
+
+        def counted(out, seed, generator_id, start):
+            fills.append(start)
+            fill_rows(out, seed, generator_id, start)
+
+        monkeypatch.setattr(rng, "_fill_rows", counted)
+        n = K * C + 9
+        batch = rng.generate(47, n, 2)
+        head = batch.draws[:10]  # a view keeps the matrix alive
+        assert batch.draws is head.base
+        assert len(fills) == K + 1
+        del head
+        assert same_bytes(batch.draws, oracle.generate(47, n, 2))
+        assert len(fills) == 2 * (K + 1)
+
+    def test_chunk_error_in_algorithm1_second_pass(self, monkeypatch):
+        # chunk 2 is evicted in pass one and fails when pass two draws it
+        # again
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+        real, fills = rng._stream, []
+
+        def second_fill_fails(seed, generator_id, start):
+            if start == 2 * C * 5:
+                fills.append(start)
+                if len(fills) == 2:
+                    raise RuntimeError("chunk failed")
+            return real(seed, generator_id, start)
+
+        monkeypatch.setattr(rng, "_stream", second_fill_fails)
+        tape, vols, targets = fixture_run()
+        batch = rng.generate(44, 2 * K * C, 5)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            est.grad_est1(tape, vols, batch, targets)
+        assert len(fills) == 2
+        assert not rng_threads()
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            batch.draws
+
+    @needs_fork
+    def test_child_forked_while_a_sweep_fills(self, monkeypatch):
+        # the child reads the ring itself, in path order, across the seam
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+        parent, real = os.getpid(), rng._fill_rows
+        taken, release = threading.Event(), threading.Event()
+
+        def held(*args):
+            if os.getpid() == parent:
+                taken.set()
+                release.wait(60)
+            real(*args)
+
+        monkeypatch.setattr(rng, "_fill_rows", held)
+        tape, vols, targets = fixture_run()
+        n = 3 * K * C + 7
+        expect = oracle.generate(45, n, 5)
+        batch = rng.generate(45, n, 5)
+
+        def read_all():
+            with batch.reading():
+                return b"".join(batch.rows(lo, lo + 4687).tobytes()
+                                for lo in range(0, n, 4687))
+
+        done = {}
+        sweep = threading.Thread(target=lambda: done.update(
+            e=est.grad_est3(tape, vols, batch, targets)))
+        sweep.start()
+        try:
+            assert taken.wait(60)
+            got = bytes_from_child(read_all)
+        finally:
+            release.set()
+            sweep.join(60)
+        assert not sweep.is_alive()
+        assert got == expect.tobytes()
+        finished = est.grad_est3(
+            tape, vols, rng.PathBatch(expect, 45, "philox"), targets)
+        assert done["e"].grad.tobytes() == finished.grad.tobytes()

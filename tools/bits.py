@@ -14,7 +14,10 @@ computed, item by item:
   10^5, on the default fixture and on markets of its first option and of
   its first two options;
 - grad, variance and F/R of ``grad_est1/2/3`` and of width-8
-  ``grad_est_batched``, at 10^5 and 10^6 paths;
+  ``grad_est_batched``, at 10^5 and 10^6 paths, and at 300 017 paths,
+  whose 4687-lane blocks straddle chunk edges and the seam of the ring
+  that holds a batch larger than its window (``loss`` at 300 017 paths
+  too, on the three markets above);
 - on the 96-quote surface ``tests/surface96.cfg``, ``loss`` expectations
   at n = 8193 and 2*10^4, and the estimates above at 2*10^4 paths;
 - every CSV the four CLI subcommands write at seed 3 and 2*10^4 paths
@@ -52,18 +55,21 @@ TIMING = {"time_us", "millis", "k_f", "k_r", "t_scalar_f_us", "t_scalar_r_us",
 
 SURFACE = Path(__file__).parents[1] / "tests" / "surface96.cfg"
 
-# "surface" is (loss n, estimate n, algorithms) on SURFACE; "draws" is
-# (generators, start rows, input counts), a start of -1 meaning
+# "surface" is (loss n, estimate n, algorithms) on SURFACE; "window" is
+# (n, algorithms) of estimates on more paths than a batch's window;
+# "draws" is (generators, start rows, input counts), a start of -1 meaning
 # CHUNK_ROWS - 1
 FULL = {"calibrate": ((1, 2), (10_007, 100_000), 25),
-        "loss_n": (1, 2, 8191, 8192, 8193, 3 * 8192 + 17, 100_000),
+        "loss_n": (1, 2, 8191, 8192, 8193, 3 * 8192 + 17, 100_000, 300_017),
         "estimate_n": (100_000, 1_000_000),
+        "window": (300_017, (1, 2, 3)),
         "surface": ((8193, 20_000), (20_000,), (1, 2, 3)),
         "cli": ("20000", "40"),
         "draws": (("philox", "pcg64"), (0, 1, 3, -1), (1, 3, 5))}
 SMALL = {"calibrate": ((1,), (2000,), 2),
          "loss_n": (1, 2, 8193),
          "estimate_n": (10_000,),
+         "window": (150_001, (3,)),
          "surface": ((), (2000,), (3,)),
          "cli": ("2000", "2"),
          "draws": (("philox", "pcg64"), (-1,), (3,))}
@@ -143,6 +149,7 @@ def collect(sizes: dict) -> dict:
     draws(items, *sizes["draws"])
     for n in sizes["estimate_n"]:
         estimates(items, "", spec, curve, n, (1, 2, 3))
+    estimates(items, "", spec, curve, *sizes["window"])
     for n in surface_estimate_n:
         estimates(items, " surface", surface, surface_curve, n, surface_algs)
 
