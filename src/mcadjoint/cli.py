@@ -126,9 +126,9 @@ def cmd_variance_table(cfg: RunConfig):
 def cmd_gradient(cfg: RunConfig):
     """Gradient comparison at fixed N_mc (the first --nmc value).
 
-    Every algorithm reads one path set.  Above the set's window (131 072
-    paths) each run draws it again, so each time includes its own draw,
-    two for algorithm 1; below it the first run fills the set once.
+    Every algorithm reads one path set.  Above 131 072 paths the set holds
+    no draws and each run draws it again, so each time includes its own
+    draw, two for algorithm 1; below it the first run draws the set once.
     """
     spec, curve, tape, out = cfg.setup()
     n_mc = cfg.n_mc_list[0]

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,9 +96,9 @@ class GradientEstimate:
     r_evals: int
     algorithm: int
     millis: float = 0.0
-    # milliseconds spent in each phase of the sweep: filling or waiting
+    # milliseconds spent in each phase of the sweep: drawing or waiting
     # for draw rows (both of algorithm 1's passes: the second draws its rows
-    # again when the batch is larger than its window), forward replay,
+    # again when the batch holds no draws), forward replay,
     # seeding, reverse replay, reduction of the contributions
     phases: dict = field(default_factory=dict)
 
@@ -288,10 +289,10 @@ def _sweep(tape: Tape, params, paths: PathBatch, ranges, buffer,
            sums: _Sums = None) -> None:
     """Replay the blocks of ``ranges`` in path order, counting into ``counters``.
 
-    Each block's draws are read through ``paths.rows``, which fills them
-    if they are still pending, while helper threads fill ahead
-    (``PathBatch.reading``); each block is then forwarded into the leading
-    lanes of ``buffer`` before the next read.
+    The blocks' draws come from one read, ``paths.blocks(ranges)``, which
+    draws them if the batch does not hold them finished, with helper
+    threads drawing ahead; each block is forwarded into the leading lanes
+    of ``buffer`` before the next is taken.
     ``seed(lo, hi, y, s)`` gets the block's outputs and its seed rows
     (``tape.seed_rows``), both lane-major of shape (n_outputs, hi - lo); it
     writes the seeds of the block's last k paths into the last k lanes of
@@ -303,15 +304,14 @@ def _sweep(tape: Tape, params, paths: PathBatch, ranges, buffer,
     """
     clock = time.perf_counter
     seed_rows = buffer[tape.seed_rows]
-    with paths.reading():
-        for lo, hi in ranges:
+    t0 = clock()
+    with closing(paths.blocks(ranges)) as rows:
+        for w, (lo, hi) in zip(rows, ranges):
+            t1 = clock()
             n = hi - lo
             # a full block replays into the bound buffer object itself, so
             # that its row views are reused
             block = buffer if n == buffer.shape[1] else buffer[:, :n]
-            t0 = clock()
-            w = paths.rows(lo, hi)
-            t1 = clock()
             y, _ = tape.replay_forward(params, w, buffer=block,
                                        counters=counters)
             t2 = clock()
@@ -328,6 +328,7 @@ def _sweep(tape: Tape, params, paths: PathBatch, ranges, buffer,
                 sums.commit(k)
                 phases["reverse"] += t4 - t3
                 phases["reduce"] += clock() - t4
+            t0 = clock()
 
 
 def _lagged_seeds(algorithm: int, lag: int, targets, size: int):
@@ -424,7 +425,7 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
     with tape.bound(buffer):
         if algorithm == 1:
             # pass one sums the outputs in path order; pass two reads the
-            # blocks again, which a batch larger than its window draws again
+            # blocks again, which a batch that holds no draws draws again
             outputs = _Sums(tape.n_outputs, size)
 
             def add_outputs(lo, hi, y, s):
@@ -470,8 +471,9 @@ def grad_est1(tape: Tape, params, paths: PathBatch, targets, *,
 
     Pass one replays every path forward and keeps only the running sum of
     the outputs; pass two replays the forward values again for the reverse
-    sweep, so f_evals = 2 N and r_evals = N.  A batch larger than its
-    window (``rng_paths.generate``) is drawn once per pass.  The variance
+    sweep, so f_evals = 2 N and r_evals = N.  Each pass is one read of the
+    batch (``PathBatch.blocks``), so a batch from ``rng_paths.generate``
+    that holds no draws is drawn once per pass.  The variance
     is the terms' sample variance over N; ``batch_count=0`` skips it (all
     NaN), any other count must be >= 2 and is not read.
     """

@@ -15,13 +15,14 @@ reproduces the direct evaluation bit-for-bit; ``vol_at`` and
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from . import tape as tp
-from .estimators import _Sums
+from .estimators import _Blocks, _Sums
 from .rng_paths import PathBatch
 
 __all__ = [
@@ -252,9 +253,9 @@ def _write_payoffs(spec: MarketSpec, curve: VolCurve, w, out) -> None:
 def loss(spec: MarketSpec, curve: VolCurve, paths: PathBatch) -> LossValue:
     """Monte-Carlo calibration loss over a path batch.
 
-    The payoff program reads the draws ``_LOSS_ROWS`` paths at a time
-    through ``paths.rows``, which fills rows still pending
-    (``PathBatch.reading``), and writes each block straight into the rows
+    The payoff program reads the draws ``_LOSS_ROWS`` paths at a time in
+    one read, ``paths.blocks``, which draws rows the batch does not hold
+    finished, and writes each block straight into the rows
     of a total-only ``estimators._Sums``: no (n_paths, n_options)
     payoff matrix is formed, a block's temporaries stay cache-sized, and
     the payoffs add in path order for any number of options and blocks.
@@ -267,9 +268,8 @@ def loss(spec: MarketSpec, curve: VolCurve, paths: PathBatch) -> LossValue:
         raise ValueError("paths must be nonempty")
     _check_drivers(spec, paths.n_inputs)
     sums = _Sums(spec.n_options, min(n, _LOSS_ROWS))
-    with paths.reading():
-        for lo in range(0, n, _LOSS_ROWS):
-            w = paths.rows(lo, lo + _LOSS_ROWS)
+    with closing(paths.blocks(_Blocks(n, _LOSS_ROWS))) as rows:
+        for w in rows:
             _write_payoffs(spec, curve, w, sums.rows(len(w)))
             sums.commit(len(w))
     expectations = sums.total / n

@@ -23,14 +23,16 @@ def test_working_tree_against_itself_is_same(capsys):
     kinds = {name.split()[0] for name in results}
     assert kinds == {"calibrate", "loss", "grad_est1", "grad_est2",
                      "grad_est3", "grad_est_batched", "cli", "generate_rows"}
-    # one draw item per generator, on a chunk edge
+    # one draw item per generator, 16 386 rows from start row 16 383
     assert {"philox", "pcg64"} == {name.split()[1] for name in results
                                    if name.startswith("generate_rows")}
     # the widest tape: the 96-quote surface runs one estimate end to end
     assert {"grad_est3 surface n 2000",
             "grad_est_batched alg 3 width 8 surface n 2000"} <= set(results)
-    # an estimate on more paths than a batch's window, across its seam
-    assert {"grad_est3 n 150001",
+    # estimates on more paths than a batch holds: algorithm 1 reads its
+    # batch twice, drawing it each time
+    assert {"grad_est1 n 150001", "grad_est_batched alg 1 width 8 n 150001",
+            "grad_est3 n 150001",
             "grad_est_batched alg 3 width 8 n 150001"} <= set(results)
     assert lines[-1] == f"0 of {len(results)} items differ"
 

@@ -161,9 +161,10 @@ class TestAlgorithm1:
         # buffer, at the width the run uses, plus at most four block-sized
         # stacks (the sums, algorithm 1's variance mask and its pass-one
         # sum, and one reduction temporary), well within two buffers,
-        # however many paths there are
+        # however many paths there are; the draws are finished, since a
+        # batch above the hold limit draws each read into slots of its own
         spec, curve, tape = fixture_tape()
-        paths = generate(6, n, 5)
+        paths = PathBatch(generate(6, n, 5).draws, 6, "philox")
         assert est._block_ranges(n, 1)[0] == (0, lanes)
         run(tape, curve.knot_vols, paths, spec.prices)  # warm up
         tracemalloc.start()
@@ -194,10 +195,11 @@ class TestAlgorithm1:
     @pytest.mark.parametrize("run", [est.grad_est1, est.grad_est3],
                              ids=["alg1", "alg3"])
     def test_peak_of_a_large_batch_is_its_window(self, run):
-        # a batch from generate holds at most its window of draws, so a
-        # generate-and-estimate peaks at that window plus what the estimate
-        # holds on finished draws, however many paths it has; the finished
-        # run has the 8192-lane blocks of both sizes
+        # a batch from generate above the hold limit holds no draws, and
+        # each read draws into its own block slots, so a generate-and-
+        # estimate peaks at one read's slots plus what the estimate holds
+        # on finished draws, however many paths it has; the finished run
+        # has the 8192-lane blocks of both sizes
         spec, curve, tape = fixture_tape()
         args = [tape, curve.knot_vols, None, spec.prices]
         args[2] = PathBatch(generate(7, 2**19, 5).draws, 7, "philox")
@@ -209,7 +211,7 @@ class TestAlgorithm1:
         finally:
             tracemalloc.stop()
         args[2] = None
-        window = rng._WINDOW_CHUNKS * rng.CHUNK_ROWS * tape.n_inputs * 8
+        slots = rng._SLOTS * est.BLOCK_PATHS * tape.n_inputs * 8
         for n in (10**6, 4 * 10**6):
             tracemalloc.start()
             try:
@@ -219,7 +221,7 @@ class TestAlgorithm1:
             finally:
                 tracemalloc.stop()
                 args[2] = None
-            assert peak <= window + footprint + 2**16, n
+            assert peak <= slots + footprint + 2**16, n
 
 
 class TestAlgorithm2:

@@ -347,23 +347,25 @@ class TestCalibrate:
         assert trace.status == "max_iter" and len(alive) == 2 * 3
 
     def test_a_set_above_the_window_is_held_whole(self, monkeypatch):
-        # the line search reads each set about four times: every chunk is
-        # drawn once per set, and the trace is that of finished draws
+        # the line search reads each set about four times: each set draws
+        # every row exactly once, and the trace is that of finished draws
         spec, curve = mdl.default_fixture()
-        chunk = opt.rng.CHUNK_ROWS
-        n_mc = opt.rng._WINDOW_CHUNKS * chunk + 1
+        n_mc = opt.rng._HOLD_ROWS + 1
         config = LbfgsConfig(max_iter=2)
-        fill_rows, fills = opt.rng._fill_rows, []
+        fill_rows, fills = opt.rng._fill_rows, {}
 
         def counted(out, seed, generator_id, start):
-            fills.append(start)
+            fills.setdefault(seed, []).append((start, start + len(out)))
             fill_rows(out, seed, generator_id, start)
 
         monkeypatch.setattr(opt.rng, "_fill_rows", counted)
         _, trace = calibrate(spec, curve, 1, n_mc, seed=4, config=config)
         monkeypatch.undo()
-        sets = min(len(trace), config.max_iter)
-        assert sorted(fills) == sorted(list(range(0, n_mc, chunk)) * sets)
+        assert len(fills) == min(len(trace), config.max_iter)
+        for seed, drawn in fills.items():
+            drawn.sort()
+            assert drawn[0][0] == 0 and drawn[-1][1] == n_mc, seed
+            assert all(a[1] == b[0] for a, b in zip(drawn, drawn[1:])), seed
 
         def finished(seed, generator_id, start, stop, n_inputs, whole=False):
             draws = oracle.generate(seed, stop - start, n_inputs, generator_id)

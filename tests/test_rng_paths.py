@@ -298,6 +298,17 @@ def rng_threads():
     return [t for t in threading.enumerate() if t.name.startswith("rng_paths")]
 
 
+def spans(lo, hi, size):
+    """Ranges of ``size`` rows from lo, the last one ending at hi."""
+    return [(a, min(a + size, hi)) for a in range(lo, hi, size)]
+
+
+def copies(batch, ranges):
+    """(lo, copy of the rows) for each range of one ``batch.blocks`` read."""
+    return [(lo, rows.copy())
+            for rows, (lo, _) in zip(batch.blocks(ranges), ranges)]
+
+
 class TestReadersFill:
     """``generate`` draws nothing; whoever reads a batch fills it."""
 
@@ -327,9 +338,8 @@ class TestReadersFill:
         batch = rng.generate(32, n, 3)
 
         def backwards():
-            with batch.reading():
-                return [(lo, batch.rows(lo, lo + 5000).copy())
-                        for lo in range(n - 5000, -1, -5000)]
+            return copies(batch, [(lo, lo + 5000)
+                                for lo in range(n - 5000, -1, -5000)])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -353,10 +363,10 @@ class TestReadersFill:
         n = 3 * C + 7
         expect = oracle.generate(33, n, 5, "pcg64")
         for lo, hi in [(37, 61), (C - 5, C + 5), (1, 2 * C + 1),
-                       (C - 1, n), (2 * C, 2 * C), (n - 3, n + 40)]:
+                       (C - 1, n), (2 * C, 2 * C), (n - 3, n)]:
             batch = rng.generate(33, n, 5, generator_id="pcg64")
-            with batch.reading():
-                assert same_bytes(batch.rows(lo, hi), expect[lo:hi]), (lo, hi)
+            [(_, rows)] = copies(batch, [(lo, hi)])
+            assert same_bytes(rows, expect[lo:hi]), (lo, hi)
             assert same_bytes(batch.draws, expect), (lo, hi)
             assert not rng_threads()
 
@@ -368,7 +378,7 @@ class TestReadersFill:
         batch = rng.generate(34, 2 * C, 5)
         assert (batch.n_paths, batch.n_inputs) == (2 * C, 5)
         with pytest.raises(AssertionError, match="a chunk was filled"):
-            batch.rows(0, 1)
+            next(batch.blocks([(0, 1)]))
 
     @pytest.mark.parametrize("read", ["grad_est3", "loss"])
     def test_chunk_error_reaches_the_sweep(self, read, monkeypatch):
@@ -390,11 +400,12 @@ class TestReadersFill:
             else:
                 est.grad_est3(tape, curve.knot_vols, batch, spec.prices)
         assert not rng_threads()
-        # the failure stays with the batch, and the rows filled before it
-        # are right
+        # a later read fails where the draw still fails, and the rows
+        # before it are right
         with pytest.raises(RuntimeError, match="chunk failed"):
             batch.draws
-        assert same_bytes(batch.rows(0, C), oracle.generate(35, C, 5))
+        assert same_bytes(copies(batch, [(0, C)])[0][1],
+                          oracle.generate(35, C, 5))
 
     @pytest.mark.parametrize("copy_of", [
         lambda b: pickle.loads(pickle.dumps(b)), copy.deepcopy])
@@ -417,8 +428,10 @@ class TestReadersFill:
 
     @needs_fork
     def test_child_forked_while_a_sweep_fills(self, monkeypatch):
-        # the parent's sweep thread and its helper each hold a chunk when
-        # the child is forked; the child fills those chunks itself
+        # the parent's sweep holds the claim on the batch's matrix, and it
+        # and its helper each hold a block, when the child is forked; the
+        # child's reads, one in path order and one of the whole matrix,
+        # draw the rows themselves
         monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
         parent, real = os.getpid(), rng._fill_rows
         taken, release = threading.Event(), threading.Event()
@@ -438,27 +451,32 @@ class TestReadersFill:
         sweep = threading.Thread(target=lambda: done.update(
             e=est.grad_est3(tape, vols, batch, targets)))
         sweep.start()
+        def read_all():
+            return b"".join([*(rows.tobytes() for rows in
+                               batch.blocks(spans(0, n, 4687))),
+                             batch.draws.tobytes()])
+
         try:
             assert taken.wait(60)
-            got = bytes_from_child(lambda: batch.draws.tobytes())
+            got = bytes_from_child(read_all)
         finally:
             release.set()
             sweep.join(60)
         assert not sweep.is_alive()
-        assert got == expect.tobytes()
+        assert got == expect.tobytes() * 2
         assert same_bytes(batch.draws, expect)
         finished = est.grad_est3(
             tape, vols, rng.PathBatch(expect, 38, "philox"), targets)
         assert done["e"].grad.tobytes() == finished.grad.tobytes()
 
 
-K = rng._WINDOW_CHUNKS
+K = rng._HOLD_ROWS // C
 WINDOW_SIZES = [K * C - 1, K * C, K * C + 1, 3 * K * C + 7]
 
 
 class TestWindow:
-    """A batch larger than ``_WINDOW_CHUNKS`` chunks holds them in a ring of
-    chunk slots and draws a chunk again when a read comes back to it."""
+    """A batch of more than ``_HOLD_ROWS`` paths holds no draws: each read
+    draws its own blocks into slots of its own."""
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("n", WINDOW_SIZES)
@@ -466,43 +484,30 @@ class TestWindow:
         monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
         expect = oracle.generate(41, n, 3)
         batch = rng.generate(41, n, 3)
-        assert batch._draws.shape == (min(n, K * C), 3)
-        with batch.reading():  # forward in blocks that straddle chunk edges
-            for lo in range(0, n, 4687):
-                got = batch.rows(lo, lo + 4687)
-                assert same_bytes(got, expect[lo:lo + 4687]), lo
-        with batch.reading():  # backward, over chunks evicted since
-            for lo in range(n - 5000, -5000, -5000):
-                lo = max(lo, 0)
-                got = batch.rows(lo, lo + 5000)
-                assert same_bytes(got, expect[lo:lo + 5000]), lo
-        # a chunk edge inside the ring is a view; the ring's seam a copy
-        edge = batch.rows(C - 5, C + 5)
-        assert same_bytes(edge, expect[C - 5:C + 5])
-        assert np.shares_memory(edge, batch._draws)
-        if n > K * C:
-            seam = batch.rows(K * C - 5, K * C + 5)
-            assert same_bytes(seam, expect[K * C - 5:K * C + 5])
-            assert not np.shares_memory(seam, batch._draws)
+        # forward in blocks that straddle chunk edges, then backward, then
+        # blocks of other sizes across the hold limit
+        for ranges in (spans(0, n, 4687),
+                       [(max(lo, 0), lo + 5000)
+                        for lo in range(n - 5000, -5000, -5000)],
+                       [(C - 5, C + 5), (K * C - 5, min(n, K * C + 5)),
+                        (1, n - 1)]):
+            for lo, rows in copies(batch, ranges):
+                assert same_bytes(rows, expect[lo:lo + len(rows)]), lo
         assert not rng_threads()
 
     def test_two_threads_read_at_once(self, monkeypatch):
-        # one reads forward and one backward, each pinning its last read;
-        # a chunk whose slot the other pins is drawn into a copy
+        # one reads forward and one backward, each through its own slots
         monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
         n = 3 * K * C + 7
         expect = oracle.generate(42, n, 3)
         batch = rng.generate(42, n, 3)
 
         def forward():
-            with batch.reading():
-                return [(lo, batch.rows(lo, lo + 4687).copy())
-                        for lo in range(0, n, 4687)]
+            return copies(batch, spans(0, n, 4687))
 
         def backward():
-            with batch.reading():
-                return [(lo, batch.rows(lo, lo + 5000).copy())
-                        for lo in range(n - 5000, -1, -5000)]
+            return copies(batch, [(lo, lo + 5000)
+                                for lo in range(n - 5000, -1, -5000)])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -517,6 +522,63 @@ class TestWindow:
             for lo, rows in part:
                 assert same_bytes(rows, expect[lo:lo + len(rows)]), lo
 
+    def test_more_helpers_than_cores(self, monkeypatch):
+        # three helpers and the reader on a shortened switch interval, over
+        # many small blocks: a slot drawn over before the reader let it go
+        # would change the bytes
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: 4)
+        n = K * C + 2047
+        expect = oracle.generate(51, n, 3)
+        batch = rng.generate(51, n, 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as reader:
+                parts = reader.submit(copies, batch,
+                                      spans(0, n, 2048)).result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not rng_threads()
+        for lo, rows in parts:
+            assert same_bytes(rows, expect[lo:lo + len(rows)]), lo
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_streamed_estimates_equal_finished_ones(self, cpus, monkeypatch):
+        # algorithm 1 reads a streamed batch twice, the others once; every
+        # estimate is that of the finished draws, byte for byte
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+        tape, vols, targets = fixture_run()
+        n = 3 * K * C + 7
+        finished = rng.PathBatch(oracle.generate(49, n, 5), 49, "philox")
+        runs = [lambda p, alg=alg: grad(tape, vols, p, targets)
+                for alg, grad in ((1, est.grad_est1), (2, est.grad_est2),
+                                  (3, est.grad_est3))]
+        runs += [lambda p, alg=alg: est.grad_est_batched(
+                     alg, tape, vols, p, targets, 8) for alg in (1, 2, 3)]
+        for i, run in enumerate(runs):
+            got, want = run(rng.generate(49, n, 5)), run(finished)
+            assert got.grad.tobytes() == want.grad.tobytes(), i
+            assert got.variance.tobytes() == want.variance.tobytes(), i
+            assert (got.f_evals, got.r_evals) == (want.f_evals,
+                                                  want.r_evals), i
+        assert not rng_threads()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("n", [K * C - 1, K * C + 1],
+                             ids=["held", "streamed"])
+    def test_a_consumer_that_raises_between_blocks(self, n, cpus,
+                                                   monkeypatch):
+        # the read's helpers are joined, and a held matrix that the read
+        # left half drawn is drawn whole by the next read
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+        batch = rng.generate(50, n, 3)
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            for i, _ in enumerate(batch.blocks(spans(0, n, 4687))):
+                if i == 5:
+                    raise RuntimeError("consumer failed")
+        assert not rng_threads()
+        assert same_bytes(batch.draws, oracle.generate(50, n, 3))
+
     @pytest.mark.parametrize("copy_of", [
         lambda b: b.draws,
         lambda b: pickle.loads(pickle.dumps(b)).draws,
@@ -524,35 +586,38 @@ class TestWindow:
     def test_full_matrix(self, copy_of):
         n = K * C + 9
         batch = rng.generate(43, n, 2)
-        with batch.reading():
-            batch.rows(n - 9, n)
+        copies(batch, [(n - 9, n)])
         assert same_bytes(copy_of(batch), oracle.generate(43, n, 2))
-        assert batch._draws.shape == (K * C, 2)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_helpers_stay_within_the_window(self, cpus, monkeypatch):
-        # helpers never evict a chunk the reader has yet to read: a read in
-        # path order draws each chunk once, and algorithm 1, whose second
-        # pass finds every chunk evicted, draws each chunk twice
+        # helpers draw no block more than the slots ahead of the one the
+        # reader was last handed, and each read draws each of its blocks
+        # once: algorithm 1, which reads the batch twice, draws each twice
         monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
-        fill_rows, fills = rng._fill_rows, []
+        fill_rows, fills, handed = rng._fill_rows, [], [0]
 
         def counted(out, seed, generator_id, start):
+            assert start <= handed[0] + rng._SLOTS * 8192, (start, handed)
             fills.append(start)
             fill_rows(out, seed, generator_id, start)
 
         monkeypatch.setattr(rng, "_fill_rows", counted)
         n = 2 * K * C
+        expect = oracle.generate(46, n, 5)
         batch = rng.generate(46, n, 5)
-        with batch.reading():
-            for lo in range(0, n, 8192):
-                batch.rows(lo, lo + 8192)
-                time.sleep(0.005)  # a slow reader: helpers run ahead
-        assert sorted(fills) == list(range(0, n, C))
+        for rows, (lo, hi) in zip(batch.blocks(spans(0, n, 8192)),
+                                  spans(0, n, 8192)):
+            handed[0] = lo
+            assert same_bytes(rows, expect[lo:hi]), lo
+            time.sleep(0.005)  # a slow reader: helpers run ahead
+        assert sorted(fills) == list(range(0, n, 8192))
         fills.clear()
+        handed[0] = n
         tape, vols, targets = fixture_run()
         est.grad_est1(tape, vols, rng.generate(46, n, 5), targets)
-        assert sorted(fills) == sorted(list(range(0, n, C)) * 2)
+        starts = [lo for lo, _ in est._block_ranges(n, 1)]
+        assert sorted(fills) == sorted(starts * 2)
 
     def test_full_matrix_is_drawn_again_only_once_let_go(self, monkeypatch):
         fill_rows, fills = rng._fill_rows, []
@@ -572,8 +637,8 @@ class TestWindow:
         assert len(fills) == 2 * (K + 1)
 
     def test_chunk_error_in_algorithm1_second_pass(self, monkeypatch):
-        # chunk 2 is evicted in pass one and fails when pass two draws it
-        # again
+        # the block at chunk 2 is drawn in pass one and fails when pass two
+        # draws it again; the next read draws it once more
         monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
         real, fills = rng._stream, []
 
@@ -591,12 +656,12 @@ class TestWindow:
             est.grad_est1(tape, vols, batch, targets)
         assert len(fills) == 2
         assert not rng_threads()
-        with pytest.raises(RuntimeError, match="chunk failed"):
-            batch.draws
+        assert same_bytes(batch.draws, oracle.generate(44, 2 * K * C, 5))
 
     @needs_fork
     def test_child_forked_while_a_sweep_fills(self, monkeypatch):
-        # the child reads the ring itself, in path order, across the seam
+        # the child reads the batch itself, in path order, in blocks that
+        # straddle chunk edges
         monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
         parent, real = os.getpid(), rng._fill_rows
         taken, release = threading.Event(), threading.Event()
@@ -614,9 +679,8 @@ class TestWindow:
         batch = rng.generate(45, n, 5)
 
         def read_all():
-            with batch.reading():
-                return b"".join(batch.rows(lo, lo + 4687).tobytes()
-                                for lo in range(0, n, 4687))
+            return b"".join(rows.tobytes()
+                            for rows in batch.blocks(spans(0, n, 4687)))
 
         done = {}
         sweep = threading.Thread(target=lambda: done.update(

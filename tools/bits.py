@@ -15,17 +15,17 @@ computed, item by item:
   its first two options;
 - grad, variance and F/R of ``grad_est1/2/3`` and of width-8
   ``grad_est_batched``, at 10^5 and 10^6 paths, and at 300 017 paths,
-  whose 4687-lane blocks straddle chunk edges and the seam of the ring
-  that holds a batch larger than its window (``loss`` at 300 017 paths
-  too, on the three markets above);
+  whose 4687-lane blocks straddle chunk edges of a batch too large to
+  hold its draws, so that each read draws its own (``loss`` at 300 017
+  paths too, on the three markets above);
 - on the 96-quote surface ``tests/surface96.cfg``, ``loss`` expectations
   at n = 8193 and 2*10^4, and the estimates above at 2*10^4 paths;
 - every CSV the four CLI subcommands write at seed 3 and 2*10^4 paths
   (``calibrate`` at 40 iterations), without the timing columns, compared
   as the text of their cells;
-- ``generate_rows`` draws of both generators over CHUNK_ROWS + 2 rows from
-  start rows 0, 1, 3 and CHUNK_ROWS - 1, with 1, 3 and 5 inputs: a sha256
-  of the rows' bytes and the two rows on the chunk edge.
+- ``generate_rows`` draws of both generators over 16 386 rows from start
+  rows 0, 1, 3 and 16 383, with 1, 3 and 5 inputs: a sha256 of the rows'
+  bytes and the two rows 16 383 rows after the start.
 
 Each item prints ``same`` when every value has the same bits on both
 sides, or ``differs`` with the largest relative difference.  ``--small``
@@ -56,39 +56,37 @@ TIMING = {"time_us", "millis", "k_f", "k_r", "t_scalar_f_us", "t_scalar_r_us",
 SURFACE = Path(__file__).parents[1] / "tests" / "surface96.cfg"
 
 # "surface" is (loss n, estimate n, algorithms) on SURFACE; "window" is
-# (n, algorithms) of estimates on more paths than a batch's window;
-# "draws" is (generators, start rows, input counts), a start of -1 meaning
-# CHUNK_ROWS - 1
+# (n, algorithms) of estimates on more paths than a batch holds; "draws" is
+# (generators, start rows, input counts)
 FULL = {"calibrate": ((1, 2), (10_007, 100_000), 25),
         "loss_n": (1, 2, 8191, 8192, 8193, 3 * 8192 + 17, 100_000, 300_017),
         "estimate_n": (100_000, 1_000_000),
         "window": (300_017, (1, 2, 3)),
         "surface": ((8193, 20_000), (20_000,), (1, 2, 3)),
         "cli": ("20000", "40"),
-        "draws": (("philox", "pcg64"), (0, 1, 3, -1), (1, 3, 5))}
+        "draws": (("philox", "pcg64"), (0, 1, 3, 16_383), (1, 3, 5))}
 SMALL = {"calibrate": ((1,), (2000,), 2),
          "loss_n": (1, 2, 8193),
          "estimate_n": (10_000,),
-         "window": (150_001, (3,)),
+         "window": (150_001, (1, 3)),
          "surface": ((), (2000,), (3,)),
          "cli": ("2000", "2"),
-         "draws": (("philox", "pcg64"), (-1,), (3,))}
+         "draws": (("philox", "pcg64"), (16_383,), (3,))}
 
 
 def draws(items: dict, generators, starts, input_counts) -> None:
-    """``generate_rows`` over CHUNK_ROWS + 2 rows, so that the rows span a
-    chunk edge, as items ``generate_rows <generator> start <s> inputs <k>``:
-    the sha256 of the rows' bytes, then the two rows on the edge."""
-    from mcadjoint.rng_paths import CHUNK_ROWS, generate_rows
+    """``generate_rows`` over 16 386 rows, as items ``generate_rows
+    <generator> start <s> inputs <k>``: the sha256 of the rows' bytes, then
+    rows 16 383 and 16 384 of them."""
+    from mcadjoint.rng_paths import generate_rows
 
     for gen in generators:
         for start in starts:
-            start = CHUNK_ROWS - 1 if start == -1 else start
             for k in input_counts:
-                rows = generate_rows(7, gen, start, start + CHUNK_ROWS + 2, k)
+                rows = generate_rows(7, gen, start, start + 16_386, k)
                 items[f"generate_rows {gen} start {start} inputs {k}"] = [
                     hashlib.sha256(rows.tobytes()).hexdigest(),
-                    *rows[CHUNK_ROWS - 1: CHUNK_ROWS + 1].ravel().tolist()]
+                    *rows[16_383:16_385].ravel().tolist()]
 
 
 def estimates(items: dict, label: str, spec, curve, n: int, algs) -> None:
