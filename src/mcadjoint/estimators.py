@@ -436,6 +436,7 @@ def _estimate(algorithm: int, tape: Tape, params, paths: PathBatch, targets,
             _sweep(tape, params, paths, ranges, buffer, counters, add_outputs,
                    phases)
             lam = outputs.total[:, None] / n - targets[:, None]
+            del outputs  # its rows are freed before pass two
 
             def seed(lo, hi, y, s):
                 s[...] = lam

@@ -15,7 +15,6 @@ reproduces the direct evaluation bit-for-bit; ``vol_at`` and
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,10 +267,13 @@ def loss(spec: MarketSpec, curve: VolCurve, paths: PathBatch) -> LossValue:
         raise ValueError("paths must be nonempty")
     _check_drivers(spec, paths.n_inputs)
     sums = _Sums(spec.n_options, min(n, _LOSS_ROWS))
-    with closing(paths.blocks(_Blocks(n, _LOSS_ROWS))) as rows:
+    rows = paths.blocks(_Blocks(n, _LOSS_ROWS))
+    try:
         for w in rows:
             _write_payoffs(spec, curve, w, sums.rows(len(w)))
             sums.commit(len(w))
+    finally:
+        rows.close()
     expectations = sums.total / n
     residuals = expectations - spec.prices
     g = 0.5 * float(residuals @ residuals)

@@ -22,10 +22,9 @@ holds (numpy's uniform draw and ``ndtri`` release the GIL); when the one
 it needs is not ready, the reader draws the lowest untaken one itself.
 The helpers are joined when the read ends.  Each chunk or range is drawn,
 shifted and transformed where it lies, so a read needs no memory beyond
-the matrix or its slots.  Every element goes
-through the same operations whichever thread draws it, whenever and
-however often, so the bytes do not depend on the thread count, on the
-ranges or on the order of the reads.
+the matrix or its slots.  Every element goes through the same operations
+whichever thread draws it, whenever and however often, so the bytes do
+not depend on the thread count, on the ranges or on the order of the reads.
 """
 
 from __future__ import annotations
@@ -94,8 +93,8 @@ def _fill_rows(out: np.ndarray, seed: int, generator_id: str,
 
 
 class _Read:
-    """The draws of one read: range j of ``ranges`` goes to ``place(j, lo,
-    hi)``.
+    """The draws of one read: range j of ``ranges`` goes to the batch's own
+    matrix or, given ``slots``, to slot j mod ``_SLOTS``.
 
     Ranges are taken lowest first, by the reader or a helper, and only
     while they lie fewer than ``_SLOTS`` ranges beyond the one the reader
@@ -105,20 +104,24 @@ class _Read:
     it, and the reader raises its error when it comes to that range.
     """
 
-    def __init__(self, batch: PathBatch, ranges, place):
-        self.batch, self.ranges, self.place = batch, ranges, place
+    def __init__(self, batch: PathBatch, ranges, slots=None):
+        self.batch, self.ranges, self.slots = batch, ranges, slots
         self.taken = 0  # ranges taken so far: all of them once the read ends
         self.at = 0  # the range the reader waits for or holds
         self.drawn = [-1] * _SLOTS  # the range drawn in each slot
         self.error = self.failed = None  # the lowest failed range's error
         self.changed = threading.Condition()
 
-    def _draw(self, j: int) -> None:
+    def _place(self, j: int) -> np.ndarray:
         lo, hi = self.ranges[j]
+        return (self.batch._draws[lo:hi] if self.slots is None
+                else self.slots[j % _SLOTS, :hi - lo])
+
+    def _draw(self, j: int) -> None:
         batch = self.batch
         try:
-            _fill_rows(self.place(j, lo, hi), batch.seed, batch.generator_id,
-                       batch._start + lo)
+            _fill_rows(self._place(j), batch.seed, batch.generator_id,
+                       batch._start + self.ranges[j][0])
         except BaseException as exc:  # raised by the reader
             with self.changed:
                 if self.error is None or j < self.failed:
@@ -134,8 +137,7 @@ class _Read:
         """Draw ranges, lowest untaken first: until range i is drawn (the
         reader, which raises the error of a failed draw at or before range
         i), or, without i, until none is left to take (a helper).  Wait
-        while none is within reach.
-        """
+        while none is within reach."""
         while True:
             with self.changed:
                 if i is not None:
@@ -167,7 +169,7 @@ class _Read:
                     self.at = i  # frees range i - 1's slot
                     self.changed.notify_all()
                 self._work(i)
-                yield self.place(i, *self.ranges[i])
+                yield self._place(i)
         finally:
             with self.changed:
                 self.taken = n  # nothing is left to take
@@ -184,9 +186,8 @@ class PathBatch:
     from ``generate`` is drawn by its reads (``blocks``): it holds its whole
     matrix, finished once a read has drawn every row, or, above
     ``_HOLD_ROWS`` rows, none, each read drawing its own.  ``n_paths`` and
-    ``n_inputs`` draw nothing.  ``draws``, pickling and copying give the
-    full matrix: the batch's own, or, when it holds none, a new one, reused
-    while it is still held elsewhere.
+    ``n_inputs`` draw nothing; ``draws``, pickling and copying give the
+    full matrix (see ``draws``).
     """
 
     def __init__(self, draws: np.ndarray, seed: int, generator_id: str):
@@ -213,8 +214,8 @@ class PathBatch:
         draws a new array, or returns the last one while it is still held
         elsewhere."""
         claim = self._filling
-        if claim is not None and not claim.locked():
-            for _ in self.blocks([(0, self.n_paths)]):
+        if claim is not None and claim.acquire(blocking=False):
+            for _ in self._draw_held([(0, self.n_paths)], claim):
                 pass
         if self._draws is not None and self._filling is None:
             return self._draws
@@ -227,45 +228,48 @@ class PathBatch:
 
     def blocks(self, ranges):
         """Rows [lo, hi) of the draws for each (lo, hi) of the sequence
-        ``ranges`` (0 <= lo <= hi <= n_paths), in order; each stays valid
-        until the next is taken.
+        ``ranges``, in order; each stays valid until the next is taken.
+        Raises ValueError unless 0 <= lo <= hi <= n_paths for every range.
 
-        Finished draws are read as views.  Otherwise the read draws as the
-        module docstring says: the batch's own matrix, in ``CHUNK_ROWS``
-        chunks in order, as far as each range needs (the draws are
-        finished once every row is drawn), or each range into slots of its
-        own.  A read that finds another read drawing the matrix draws into
-        its own slots: the claim never blocks, so a forked child never
-        waits on a claim its parent's threads held.  Exhaust the iterator,
-        or close it, to join the read's helpers.
+        Finished draws are read as views; else the read draws as the module
+        docstring says, into slots of its own if another read is drawing
+        the batch's matrix: the claim is taken without waiting, so a forked
+        child never waits on one its parent's threads held.  Exhaust the
+        iterator, or close it, to join the read's helpers.
         """
+        n = self.n_paths
+        for lo, hi in ranges:
+            if not 0 <= lo <= hi <= n:
+                raise ValueError(f"range ({lo}, {hi}) is not within [0, {n}]")
         claim = self._filling
-        claimed = claim is not None and claim.acquire(blocking=False)
+        if claim is not None and claim.acquire(blocking=False):
+            yield from self._draw_held(ranges, claim)
+        elif self._draws is not None and self._filling is None:
+            for lo, hi in ranges:
+                yield self._draws[lo:hi]
+        else:
+            slots = np.empty((min(_SLOTS, len(ranges)), max(
+                (hi - lo for lo, hi in ranges), default=0), self.n_inputs))
+            yield from _Read(self, ranges, slots).rows()
+
+    def _draw_held(self, ranges, claim):
+        """Each range's rows of the held matrix, drawn in place in
+        ``CHUNK_ROWS`` chunks in order as far as it needs unless finished;
+        releases ``claim``, which the caller took, when it ends."""
         try:
-            if self._draws is not None and self._filling is None:
+            n = self.n_paths
+            end = 0 if self._filling is not None else n
+            chunks = _Read(self, [(a, min(a + CHUNK_ROWS, n))
+                                  for a in range(0, n, CHUNK_ROWS)]).rows()
+            with closing(chunks):
                 for lo, hi in ranges:
+                    while end < hi:
+                        end += len(next(chunks))
+                    if end == n:
+                        self._filling = None
                     yield self._draws[lo:hi]
-            elif claimed:  # the matrix is drawn chunk by chunk, in order
-                n, end = self.n_paths, 0
-                chunks = _Read(self, [(a, min(a + CHUNK_ROWS, n))
-                                      for a in range(0, n, CHUNK_ROWS)],
-                               lambda j, lo, hi: self._draws[lo:hi]).rows()
-                with closing(chunks):
-                    for lo, hi in ranges:
-                        while end < hi:
-                            end += len(next(chunks))
-                        if end == n:
-                            self._filling = None
-                        yield self._draws[lo:hi]
-            else:
-                slots = np.empty((min(_SLOTS, len(ranges)),
-                                  max((hi - lo for lo, hi in ranges),
-                                      default=0), self.n_inputs))
-                yield from _Read(self, ranges, lambda j, lo, hi:
-                                 slots[j % _SLOTS, :hi - lo]).rows()
         finally:
-            if claimed:
-                claim.release()
+            claim.release()
 
     def __reduce__(self):
         return PathBatch, (self.draws, self.seed, self.generator_id)

@@ -370,6 +370,61 @@ class TestReadersFill:
             assert same_bytes(batch.draws, expect), (lo, hi)
             assert not rng_threads()
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("kind", ["finished", "held", "streamed"])
+    def test_a_range_outside_the_batch_is_refused(self, kind, cpus,
+                                                  monkeypatch):
+        # the read refuses it before it hands out or draws any rows, and
+        # the batch reads right afterwards
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+        n = K * C + 1 if kind == "streamed" else 3 * C + 7
+        expect = oracle.generate(33, n, 5, "pcg64")
+        for lo, hi in [(n - 3, n + 40), (-1, 2), (5, 4)]:
+            batch = (rng.PathBatch(expect.copy(), 33, "pcg64")
+                     if kind == "finished" else
+                     rng.generate(33, n, 5, generator_id="pcg64"))
+            with pytest.raises(ValueError, match="is not within"):
+                copies(batch, [(0, 5), (lo, hi)])
+            assert not rng_threads()
+            assert same_bytes(batch.draws, expect), (lo, hi)
+
+    def test_draws_while_another_read_draws_the_matrix(self, monkeypatch):
+        # .draws then draws one new whole matrix, not a read into slots;
+        # once that read ends, .draws finishes the batch's own
+        n = 3 * C + 7
+        expect = oracle.generate(38, n, 5)
+        batch = rng.generate(38, n, 5)
+        read = batch.blocks([(0, 5), (5, 10)])
+        next(read)  # holds the claim with the matrix partly drawn
+        init, slotted = rng._Read.__init__, []
+
+        def recorded(self, batch, ranges, slots=None):
+            slotted.append(slots is not None)
+            init(self, batch, ranges, slots)
+
+        monkeypatch.setattr(rng._Read, "__init__", recorded)
+        assert same_bytes(batch.draws, expect)
+        assert slotted == [False]
+        read.close()
+        assert not rng_threads()
+        assert same_bytes(batch.draws, expect)
+        assert batch.draws is batch.draws
+
+        class Raced:
+            """A claim that another read takes between a look and a try."""
+
+            def locked(self):
+                return False
+
+            def acquire(self, blocking=True):
+                return False
+
+        slotted.clear()
+        batch = rng.generate(38, n, 5)
+        batch._filling = Raced()
+        assert same_bytes(batch.draws, expect)
+        assert slotted == [False]
+
     def test_counts_fill_nothing(self, monkeypatch):
         def no_fill(*_):
             raise AssertionError("a chunk was filled")
