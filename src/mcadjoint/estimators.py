@@ -245,9 +245,7 @@ class _Blocks(Sequence):
     def __len__(self) -> int:
         return len(self.starts)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+    def __getitem__(self, i: int):
         lo = self.starts[i]
         return lo, min(lo + self.size, self.n_paths)
 

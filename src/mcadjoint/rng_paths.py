@@ -159,7 +159,9 @@ class _Read:
         """Each range's rows, in order, with helper threads that draw ahead
         and are joined when the read ends, returns or raises."""
         n = len(self.ranges)
-        helpers = [threading.Thread(target=self._work, name="rng_paths")
+        # daemons: a read left suspended does not block the interpreter's exit
+        helpers = [threading.Thread(target=self._work, name="rng_paths",
+                                    daemon=True)
                    for _ in range(min(_usable_cpus(), n) - 1)]
         try:
             for helper in helpers:

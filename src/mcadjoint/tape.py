@@ -42,7 +42,6 @@ whose step first wrote a non-finite adjoint.
 
 from __future__ import annotations
 
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -274,13 +273,6 @@ def _index(seq):
     return np.asarray(seq, dtype=np.intp)
 
 
-def _lies_within(inner, outer):
-    """Whether the bytes ``inner`` spans lie within those ``outer`` spans."""
-    lo, hi = np.lib.array_utils.byte_bounds(inner)
-    outer_lo, outer_hi = np.lib.array_utils.byte_bounds(outer)
-    return outer_lo <= lo and hi <= outer_hi
-
-
 def _place(steps, first, keep, last):
     """``(row, n_rows)``: ``row`` maps each symbol of a write-once schedule
     to a row, placed in one linear scan.
@@ -319,11 +311,9 @@ class Tape:
     forward values and the adjoints (:meth:`alloc_buffer`), lanes on axis
     1.  The only state a replay touches is a one-entry cache of the
     lane-invariant values, keyed by the parameter bytes and checked on
-    every use, and a note of which buffer the latest forward replay filled
-    with which invariants.  Concurrent replays of one tape are safe with
-    the same or with different parameters, as long as each reverse sweep is
-    passed the parameters of its forward replay; a sweep that is not, and
-    whose buffer the latest forward did not fill, raises ``ValueError``.
+    every use, so a replay depends only on its arguments.  Concurrent
+    replays of one tape are safe with the same or with different
+    parameters.
     """
 
     def __init__(self, ops, param_slots, input_slots, output_slots):
@@ -334,7 +324,6 @@ class Tape:
         self._validate()
         self._compile()
         self._cache = (None, None, None)
-        self._filled = (None, None)
         self._bound = (None, None, None)
 
     # -- structure ----------------------------------------------------------
@@ -694,8 +683,6 @@ class Tape:
         # non-finite values are detected explicitly below; keep IEEE quiet
         with np.errstate(all="ignore"):
             _run(self._fwd, rows)
-        # a weak reference: the tape pins no buffer
-        self._filled = (weakref.ref(buffer), entry)
         outputs = buffer[self._out_rows].T
         if not np.isfinite(outputs).all():
             # the inputs' rows may have been overwritten in place: reload
@@ -711,7 +698,7 @@ class Tape:
             counters.f_evals += n_lanes
         return outputs, buffer
 
-    def replay_reverse(self, buffer, seeds, *, params=None, out=None,
+    def replay_reverse(self, buffer, seeds, *, params, out=None,
                        counters=None) -> np.ndarray:
         """Reverse sweep from a filled forward buffer.
 
@@ -720,10 +707,7 @@ class Tape:
         (n_outputs, n_lanes) array is read row by row without a copy, and
         seeds written into the buffer's own :attr:`seed_rows` are not
         copied at all.  ``params`` are the parameters of the forward replay
-        that filled ``buffer`` (no buffer row holds them).  They may be
-        omitted only when this tape's latest forward replay filled
-        ``buffer`` or a block of lanes that holds it, whose parameters are
-        then used; otherwise omitting them raises ``ValueError``.  Returns
+        that filled ``buffer``; no buffer row holds them.  Returns
         per-lane parameter adjoints of shape (n_lanes, n_params): row j
         holds sum_i seeds[j, i] * dy_i/dparam.  They are written into ``out`` when given (a float64
         array of that shape, returned), else into a new array.  The sweep
@@ -755,10 +739,7 @@ class Tape:
                 f"float64, got {out.shape} {out.dtype}"
             )
         if n_lanes:
-            if params is not None:
-                entry = self._invariants(self._check_params(params))
-            else:
-                entry = self._filled_by(buffer)
+            entry = self._invariants(self._check_params(params))
             rows = self._rows(buffer, entry)
             # numpy skips assigning an array onto itself: seeds the caller
             # wrote into the seed rows are not copied
@@ -778,18 +759,6 @@ class Tape:
         if counters is not None:
             counters.r_evals += n_lanes
         return out
-
-    def _filled_by(self, buffer):
-        """The invariants of the latest forward replay, when it filled
-        ``buffer`` or a block of lanes that holds it; else ``ValueError``."""
-        ref, entry = self._filled
-        filled = None if ref is None else ref()
-        if filled is not buffer and not (
-                filled is not None and filled.strides == buffer.strides
-                and _lies_within(buffer, filled)):
-            raise ValueError("the latest forward replay did not fill this "
-                             "buffer: pass the params of the one that did")
-        return entry
 
     @staticmethod
     def _locate(steps, groups, rows):

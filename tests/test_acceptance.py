@@ -212,7 +212,7 @@ def test_criterion_7_ad_correctness(fixture):
     block = rng.standard_normal((8, 5))
     seeds = rng.standard_normal((8, 5))
     out, buf = tape.replay_forward(curve.knot_vols, block)
-    adj = tape.replay_reverse(buf, seeds)
+    adj = tape.replay_reverse(buf, seeds, params=curve.knot_vols)
     for j in range(8):
         assert (out[j] == tape.forward(curve.knot_vols, block[j])).all()
         assert (adj[j] == tape.reverse(curve.knot_vols, block[j], seeds[j])).all()

@@ -14,10 +14,11 @@ _spec.loader.exec_module(bench_pairs)
 DECLARED = [{"name": "t", "unit": "s", "better": "lower", "bound": 0.25}]
 
 
-def run(pair, side, t, failed=0):
+def run(pair, side, t, failed=0, import_s=0.3, setup_repeats_s=(0.02,)):
     if t is None:  # the run crashed: no result line
         return {"pair": pair, "side": side, "failed": None}
     return {"pair": pair, "side": side, "failed": failed, "attempted": 10,
+            "import_s": import_s, "setup_repeats_s": list(setup_repeats_s),
             "metrics": {"t": t}}
 
 
@@ -86,6 +87,29 @@ def test_parent_spread_wider_than_bound_is_unresolved():
     summary = bench_pairs.summarise(pairs_of(parent, change), DECLARED)
     t = summary["metrics"]["t"]
     assert not t["unresolved"]
+
+
+def test_setup_split_over_complete_pairs():
+    # import times and each run's median set-up repeat, per side; pair 3's
+    # change run crashed, so its parent run is left out too
+    runs = []
+    for i in range(4):
+        runs += [run(i, "parent", 1.0, import_s=0.2 + 0.1 * i,
+                     setup_repeats_s=(0.01 * i, 0.05, 0.001)),
+                 run(i, "change", None if i == 3 else 1.0,
+                     import_s=0.4 + 0.1 * i, setup_repeats_s=(0.02 * i,))]
+    split = bench_pairs.summarise(runs, DECLARED)["setup_split"]
+    assert split["parent"]["import_s"] == pytest.approx(
+        {"median": 0.3, "q1": 0.25, "q3": 0.35})
+    assert split["parent"]["setup_work_s"] == pytest.approx(
+        {"median": 0.01, "q1": 0.0055, "q3": 0.015})
+    assert split["change"]["import_s"] == pytest.approx(
+        {"median": 0.5, "q1": 0.45, "q3": 0.55})
+    assert split["change"]["setup_work_s"] == pytest.approx(
+        {"median": 0.02, "q1": 0.01, "q3": 0.03})
+    assert bench_pairs.summarise([run(0, "parent", 1.0),
+                                  run(0, "change", None)],
+                                 DECLARED)["setup_split"] == {}
 
 
 STUB_RUN = '''import json

@@ -537,7 +537,7 @@ def materialised_terms(algorithm, tape, params, paths, targets, lag):
     else:
         starts = np.arange(lag, n) // lag * lag
         seeds = pre[starts] / starts[:, None].astype(float) - targets
-    return tape.replay_reverse(buffer[:, lag:], seeds)
+    return tape.replay_reverse(buffer[:, lag:], seeds, params=params)
 
 
 def batch_means_variance(terms, batch_count=32):
@@ -602,7 +602,7 @@ class TestBlockWidthRule:
         (300_017, 4687), (2**19, 8192), (10**6, 8192),
     ])
     def test_width_is_n_over_64_clamped(self, n, lanes):
-        ranges = est._block_ranges(n, 1)
+        ranges = list(est._block_ranges(n, 1))
         assert ranges[0] == (0, lanes)
         assert all(hi - lo == lanes for lo, hi in ranges[:-1])
 
@@ -612,7 +612,7 @@ class TestBlockWidthRule:
         (10**6, 8, 8192), (10**6, 40, 8160),
     ])
     def test_blocks_start_at_multiples_of_the_lag(self, n, lag, size):
-        ranges = est._block_ranges(n, lag)
+        ranges = list(est._block_ranges(n, lag))
         assert ranges[0] == (0, size)
         assert all(lo % lag == 0 for lo, _ in ranges)
         # contiguous, in path order, covering every path
@@ -621,7 +621,7 @@ class TestBlockWidthRule:
 
     @pytest.mark.parametrize("n, lag", [(5 * 10**4, 3000), (10**6, 10_000)])
     def test_lag_wider_than_the_width_gets_one_chunk_blocks(self, n, lag):
-        ranges = est._block_ranges(n, lag)
+        ranges = list(est._block_ranges(n, lag))
         assert all(hi - lo == lag for lo, hi in ranges[:-1])
         lo, hi = ranges[-1]
         assert lo % lag == 0 and 0 < hi - lo <= lag and hi == n

@@ -410,7 +410,8 @@ class TestModelTape:
             lam = np.zeros(5)
             lam[i] = 1.0
             seeds = np.broadcast_to(lam, (paths.n_paths, 5))
-            per_path[:, i] = tape.replay_reverse(buf, seeds)[:, i]
+            per_path[:, i] = tape.replay_reverse(
+                buf, seeds, params=curve.knot_vols)[:, i]
         h = 1e-5
         for i, o in enumerate(spec.options):
             sig = mdl.vol_at(curve, o.expiry)

@@ -5,11 +5,11 @@ import os
 import pickle
 import select
 import signal
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -68,6 +68,35 @@ def bytes_from_child(work, timeout=60):
     assert finished, "the forked child did not return"
     assert os.waitstatus_to_exitcode(status) == 0
     return bytes(got)
+
+
+def within(timeout, *calls):
+    """The results of ``calls``, each run in a daemon thread of its own.
+
+    Fails the test if any has not returned ``timeout`` seconds after they
+    start; a stuck call is left running and does not hold up the process's
+    exit.  The first error a call raised is raised here.
+    """
+    results, errors = [None] * len(calls), []
+
+    def run(k, call):
+        try:
+            results[k] = call()
+        except BaseException as exc:  # re-raised below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=item, daemon=True)
+               for item in enumerate(calls)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + timeout
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    if any(thread.is_alive() for thread in threads):
+        pytest.fail(f"a call did not return within {timeout} s")
+    if errors:
+        raise errors[0]
+    return results
 
 
 class TestGenerate:
@@ -230,9 +259,8 @@ class TestChunkedFill:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=len(cases)) as callers:
-                futures = [callers.submit(call, case) for case in cases]
-                results = [f.result(timeout=60) for f in futures]
+            results = within(60, *[lambda case=case: call(case)
+                                   for case in cases])
         finally:
             sys.setswitchinterval(interval)
         assert not [t for t in threading.enumerate()
@@ -344,11 +372,7 @@ class TestReadersFill:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=2) as readers:
-                whole = readers.submit(lambda: batch.draws)
-                blocks = readers.submit(backwards)
-                got = whole.result(timeout=60)
-                parts = blocks.result(timeout=60)
+            got, parts = within(60, lambda: batch.draws, backwards)
         finally:
             sys.setswitchinterval(interval)
         assert not rng_threads()
@@ -567,9 +591,7 @@ class TestWindow:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=2) as readers:
-                futures = [readers.submit(forward), readers.submit(backward)]
-                parts = [f.result(timeout=120) for f in futures]
+            parts = within(120, forward, backward)
         finally:
             sys.setswitchinterval(interval)
         assert not rng_threads()
@@ -588,9 +610,7 @@ class TestWindow:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=1) as reader:
-                parts = reader.submit(copies, batch,
-                                      spans(0, n, 2048)).result(timeout=60)
+            [parts] = within(60, lambda: copies(batch, spans(0, n, 2048)))
         finally:
             sys.setswitchinterval(interval)
         assert not rng_threads()
@@ -633,6 +653,24 @@ class TestWindow:
                     raise RuntimeError("consumer failed")
         assert not rng_threads()
         assert same_bytes(batch.draws, oracle.generate(50, n, 3))
+
+    @pytest.mark.parametrize("n", [10 * K * C, K * C], ids=["streamed",
+                                                            "held"])
+    def test_a_suspended_read_does_not_block_exit(self, n):
+        # the script keeps a read after its first block, so its helper
+        # waits for the reader to move on when the interpreter exits
+        script = ("from mcadjoint import rng_paths as rng\n"
+                  "rng._usable_cpus = lambda: 2\n"
+                  f"read = rng.generate(1, {n}, 5).blocks("
+                  f"[(lo, lo + 8192) for lo in range(0, {n}, 8192)])\n"
+                  "next(read)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(rng.__file__))]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              timeout=30)
+        assert done.returncode == 0
 
     @pytest.mark.parametrize("copy_of", [
         lambda b: b.draws,

@@ -220,7 +220,7 @@ class TestReverse:
         out, buf = tape.replay_forward([1.0], np.zeros((2, 1)))
         assert (out == 0.0).all()
         with pytest.raises(tp.NonFiniteError, match="mul") as exc:
-            tape.replay_reverse(buf, np.ones((2, 1)))
+            tape.replay_reverse(buf, np.ones((2, 1)), params=[1.0])
         assert exc.value.node_index == 3
 
     def test_repeated_output_gets_its_own_slot(self):
@@ -337,7 +337,7 @@ class TestBatch:
         block = rng.standard_normal((8, 1))
         seeds = rng.standard_normal((8, 1))
         _, buf = tape.replay_forward([0.2, 95.0], block)
-        adj = tape.replay_reverse(buf, seeds)
+        adj = tape.replay_reverse(buf, seeds, params=[0.2, 95.0])
         for j in range(8):
             scalar = tape.reverse([0.2, 95.0], block[j], seeds[j])
             assert (adj[j] == scalar).all()
@@ -347,14 +347,14 @@ class TestBatch:
         block = np.full((2, 1), 0.4)
         seeds = np.ones((2, 1))
         _, buf = tape.replay_forward([0.2, 95.0], block)
-        adj = tape.replay_reverse(buf, seeds)
+        adj = tape.replay_reverse(buf, seeds, params=[0.2, 95.0])
         assert (adj[0] == adj[1]).all()
 
     def test_zero_seed_zero_adjoint(self):
         tape = call_payoff_tape()
         block = np.array([[0.4], [1.2]])
         _, buf = tape.replay_forward([0.2, 95.0], block)
-        adj = tape.replay_reverse(buf, np.zeros((2, 1)))
+        adj = tape.replay_reverse(buf, np.zeros((2, 1)), params=[0.2, 95.0])
         assert (adj == 0.0).all()
 
     def test_width_mismatch_rejected(self):
@@ -363,7 +363,7 @@ class TestBatch:
         with pytest.raises(ValueError, match="shape"):
             tape.replay_forward([0.2, 95.0], np.zeros((3, 1)), buffer=buf)
         with pytest.raises(ValueError, match="shape"):
-            tape.replay_reverse(buf, np.zeros((3, 1)))
+            tape.replay_reverse(buf, np.zeros((3, 1)), params=[0.2, 95.0])
 
     def test_counters_track_scalar_equivalents(self):
         tape = call_payoff_tape()
@@ -371,7 +371,8 @@ class TestBatch:
         block = np.zeros((4, 1))
         tape.replay_forward([0.2, 95.0], block, counters=counters)
         _, buf = tape.replay_forward([0.2, 95.0], block, counters=counters)
-        tape.replay_reverse(buf, np.ones((4, 1)), counters=counters)
+        tape.replay_reverse(buf, np.ones((4, 1)), params=[0.2, 95.0],
+                            counters=counters)
         assert counters.f_evals == 8
         assert counters.r_evals == 4
 
@@ -383,7 +384,8 @@ class TestBatch:
         _, filled = tape.replay_forward([0.2, 95.0], block, buffer=buf,
                                         counters=counters)
         assert filled is buf
-        tape.replay_reverse(buf, np.ones((4, 1)), counters=counters)
+        tape.replay_reverse(buf, np.ones((4, 1)), params=[0.2, 95.0],
+                            counters=counters)
         assert counters.f_evals == 4
         assert counters.r_evals == 4
 
@@ -412,16 +414,17 @@ class TestReplayLayout:
     def test_out_is_filled_and_returned(self):
         tape, params, block, seeds_lm = self.fixture_replay(16)
         _, buf = tape.replay_forward(params, block)
-        fresh = tape.replay_reverse(buf, seeds_lm.T)
+        fresh = tape.replay_reverse(buf, seeds_lm.T, params=params)
         terms = np.full((20, tape.n_params), np.nan)
-        got = tape.replay_reverse(buf, seeds_lm.T, out=terms[2:18])
+        got = tape.replay_reverse(buf, seeds_lm.T, params=params,
+                                  out=terms[2:18])
         assert got.base is terms
         assert_same_bits(terms[2:18], fresh)
         assert np.isnan(terms[:2]).all() and np.isnan(terms[18:]).all()
         for bad in (np.empty((15, tape.n_params)),
                     np.empty((16, tape.n_params), dtype=np.float32)):
             with pytest.raises(ValueError, match="out"):
-                tape.replay_reverse(buf, seeds_lm.T, out=bad)
+                tape.replay_reverse(buf, seeds_lm.T, params=params, out=bad)
 
     @pytest.mark.parametrize("lanes", [1, 7, 2048])
     def test_lane_major_seeds_match_contiguous(self, lanes):
@@ -429,20 +432,23 @@ class TestReplayLayout:
         _, buf = tape.replay_forward(params, block)
         contiguous = np.ascontiguousarray(seeds_lm.T)
         assert not seeds_lm.T.flags.c_contiguous or lanes == 1
-        assert_same_bits(tape.replay_reverse(buf, seeds_lm.T),
-                         tape.replay_reverse(buf, contiguous))
+        assert_same_bits(tape.replay_reverse(buf, seeds_lm.T, params=params),
+                         tape.replay_reverse(buf, contiguous, params=params))
 
     def test_bound_buffer_matches_and_is_released(self):
         tape, params, block, seeds_lm = self.fixture_replay(64)
         out, buf = tape.replay_forward(params, block)
-        expect = (out.copy(), tape.replay_reverse(buf, seeds_lm.T))
+        expect = (out.copy(), tape.replay_reverse(buf, seeds_lm.T,
+                                                  params=params))
         bound = tape.alloc_buffer(64)
         with tape.bound(bound):
             for p in (params, params * 1.1, params):
                 out = tape.replay_forward(p, block, buffer=bound)[0]
-                got = (out.copy(), tape.replay_reverse(bound, seeds_lm.T))
+                got = (out.copy(),
+                       tape.replay_reverse(bound, seeds_lm.T, params=p))
             # the last lanes, as a lagged sweep reverses them: not bound
-            tail = tape.replay_reverse(bound[:, 10:], seeds_lm[:, 10:].T)
+            tail = tape.replay_reverse(bound[:, 10:], seeds_lm[:, 10:].T,
+                                       params=params)
         for a, b in zip(got, expect):
             assert_same_bits(a, b)
         assert_same_bits(tail, expect[1][10:])
@@ -481,22 +487,13 @@ class TestCompiledReplay:
         seeds = np.ones((16, 1))
         vectors = ([0.2, 95.0], [0.3, 90.0])
         filled = [tape.replay_forward(p, block) for p in vectors]
-        # no buffer row holds the parameters: the first buffer's reverse
-        # without them raises rather than read the second vector's
-        # invariants, and given them it recomputes its own
-        with pytest.raises(ValueError, match="pass the params"):
-            tape.replay_reverse(filled[0][1], seeds)
+        # no buffer row holds the parameters: each buffer's reverse, given
+        # its own, recomputes their invariants after the other vector's
         for p, (out, buf) in reversed(list(zip(vectors, filled))):
             ref = oracle.forward(tape, p, block)
             expect = oracle.reverse(tape, ref, seeds)[tape.param_slots].T
             assert_same_bits(out, ref[tape.output_slots].T)
             assert_same_bits(tape.replay_reverse(buf, seeds, params=p), expect)
-        # the latest forward's buffer, or lanes of it, may omit them
-        latest = filled[1][1]
-        assert_same_bits(tape.replay_reverse(latest[:, 4:], seeds[4:]),
-                         tape.replay_reverse(latest, seeds)[4:])
-        with pytest.raises(ValueError, match="pass the params"):
-            tape.replay_reverse(latest.copy(), seeds)
 
     def test_threads_with_different_params_match_reference(self):
         # more threads than cores, each with its own parameter vector, and a
@@ -588,10 +585,11 @@ class TestCompiledReplay:
 
         ref_grads = oracle.reverse(tape, ref, seeds)[tape.param_slots].T
         if np.isfinite(ref_grads).all():
-            assert_same_bits(tape.replay_reverse(buf, seeds), ref_grads)
+            assert_same_bits(tape.replay_reverse(buf, seeds, params=params),
+                             ref_grads)
         else:
             with pytest.raises(tp.NonFiniteError) as exc:
-                tape.replay_reverse(buf, seeds)
+                tape.replay_reverse(buf, seeds, params=params)
             assert exc.value.node_index == oracle.reverse(tape, ref, seeds,
                                                           locate=True)
 
@@ -627,7 +625,7 @@ class TestNonFiniteContract:
         seeds = rng.standard_normal((8, tape.n_outputs))
         seeds[5, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            tape.replay_reverse(buf, seeds)
+            tape.replay_reverse(buf, seeds, params=curve.knot_vols)
 
     @pytest.mark.parametrize("lanes", [1, 8, 8192])
     def test_shared_row_intermediate_named_at_every_width(self, lanes):
@@ -690,9 +688,9 @@ class TestNonFiniteContract:
         seeds = buf[tape.seed_rows]
         seeds[...] = 1.0
         with pytest.raises(tp.NonFiniteError, match="exp") as exc:
-            tape.replay_reverse(buf, seeds.T)
+            tape.replay_reverse(buf, seeds.T, params=[1000.0])
         assert exc.value.node_index == 3
         assert (seeds == 1.0).all()
         seeds[0, 5] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            tape.replay_reverse(buf, seeds.T)
+            tape.replay_reverse(buf, seeds.T, params=[1000.0])

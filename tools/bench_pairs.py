@@ -23,6 +23,9 @@ change must meet: ``within_bound`` when the change's median is no worse
 than the parent's by more than the metric's ``bound`` times the parent's
 median, and ``unresolved`` when the parent's interquartile range is wider
 than that margin and not every change run beats every parent run.
+Since ``setup_s`` is the import time plus the median set-up repeat,
+``setup_split`` holds each side's median and quartiles of both parts,
+``import_s`` and ``setup_work_s``, over the complete pairs.
 """
 
 from __future__ import annotations
@@ -69,15 +72,16 @@ def quartiles(values: list) -> dict:
 
 
 def summarise(runs: list, declared: list) -> dict:
-    """Per side: crashed runs and the share of ops that failed.  Per metric:
-    both sides' medians and quartiles over the complete pairs, the pair
-    tally over every pair run, where a pair missing a side is not won, and
-    the gain and bound rules (see the module docstring)."""
+    """Per side: crashed runs, the share of ops that failed and the split
+    of ``setup_s`` over the complete pairs.  Per metric: both sides'
+    medians and quartiles over the complete pairs, the pair tally over
+    every pair run, where a pair missing a side is not won, and the gain
+    and bound rules (see the module docstring)."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})
         if run["failed"] is not None:
-            pairs[run["pair"]][run["side"]] = run["metrics"]
+            pairs[run["pair"]][run["side"]] = run
     complete = [p for p in pairs.values() if len(p) == 2]
     sides_runs = {s: [r for r in runs if r["side"] == s] for s in SIDES}
     crashed = {s: sum(r["failed"] is None for r in rs)
@@ -85,12 +89,17 @@ def summarise(runs: list, declared: list) -> dict:
     fail_share = {s: sum(r["failed"] or 0 for r in rs)
                   / max(1, sum(r.get("attempted", 0) for r in rs))
                   for s, rs in sides_runs.items()}
+    split = {s: {"import_s": quartiles([p[s]["import_s"] for p in complete]),
+                 "setup_work_s": quartiles([
+                     statistics.median(p[s]["setup_repeats_s"])
+                     for p in complete])}
+             for s in SIDES} if complete else {}
     summary = {}
     for metric in declared:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         if not complete:
             continue
-        sides = {s: [p[s][name] for p in complete] for s in SIDES}
+        sides = {s: [p[s]["metrics"][name] for p in complete] for s in SIDES}
         diffs = [sign * (c - p) for p, c in zip(sides["parent"], sides["change"])]
         stats = {s: quartiles(v) for s, v in sides.items()}
         parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
@@ -111,7 +120,8 @@ def summarise(runs: list, declared: list) -> dict:
             "within_bound": gap >= -margin,
             "unresolved": parent_iqr > margin and not separated,
         }
-    return {"crashed": crashed, "fail_share": fail_share, "metrics": summary}
+    return {"crashed": crashed, "fail_share": fail_share,
+            "setup_split": split, "metrics": summary}
 
 
 def main(argv=None) -> int:
